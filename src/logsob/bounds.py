@@ -42,6 +42,7 @@ from .perturbations import (
     check_G,
 )
 from .potentials import Potential, make_potential
+from .threads import worker_count
 
 SQ3 = math.sqrt(3.0)
 
@@ -324,7 +325,7 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None,
         return SweepRow(d=d, eps=eps, kappa=kappa_val, bound=rep.constant,
                         envelope=env, valid=rep.valid, certified=rep.certified)
 
-    workers = max_workers or _worker_count()
+    workers = max_workers or worker_count()
     if workers > 1 and len(dims) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, dims))
@@ -334,15 +335,3 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None,
         if r.valid and r.bound > r.envelope * (1.0 + 1e-12):
             raise AssertionError(f"bound {r.bound} exceeds envelope {r.envelope} at d={r.d}")
     return rows
-
-
-def _worker_count() -> int:
-    import os
-
-    env = os.environ.get("LOGSOB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import sys
 import time
@@ -71,14 +72,16 @@ def _jsonable(obj):
     return obj
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """JSON text with 17-significant-digit floats."""
+def dumps(obj, indent: int = 0, one_line: bool = False) -> str:
+    """JSON text with 17-significant-digit floats, on one line if asked."""
     obj = _jsonable(obj)
     pad = " " * indent
+    nl = "" if one_line else "\n"
+    sep = ", " if one_line else ",\n"
 
     def render(o, depth):
-        sp = "  " * depth
-        spn = "  " * (depth + 1)
+        sp = "" if one_line else "  " * depth
+        spn = "" if one_line else "  " * (depth + 1)
         if o is None:
             return "null"
         if isinstance(o, bool):
@@ -88,18 +91,18 @@ def dumps(obj, indent: int = 0) -> str:
         if isinstance(o, float):
             return _fmt(o)
         if isinstance(o, str):
-            out = o.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            return f'"{out}"'
+            # escapes every control character, so user text cannot break the line
+            return json.dumps(o)
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            items = [f'{spn}"{k}": {render(v, depth + 1)}' for k, v in o.items()]
-            return "{\n" + ",\n".join(items) + f"\n{sp}}}"
+            items = [f"{spn}{render(k, depth)}: {render(v, depth + 1)}" for k, v in o.items()]
+            return "{" + nl + sep.join(items) + f"{nl}{sp}}}"
         if isinstance(o, list):
             if not o:
                 return "[]"
             items = [f"{spn}{render(v, depth + 1)}" for v in o]
-            return "[\n" + ",\n".join(items) + f"\n{sp}]"
+            return "[" + nl + sep.join(items) + f"{nl}{sp}]"
         raise TypeError(f"cannot serialize {type(o)!r}")
 
     return pad + render(obj, 0)
@@ -224,7 +227,8 @@ def _cmd_simulate(args) -> tuple:
     x0 = tuple(float(v) for v in args.x0.split(","))
     cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
     variant = "perturbed" if a.family != "identity" else "plain"
-    batch = simulate(p, a, cfg, variant=variant)
+    # the tangent flow feeds only the j_norm column of --emit-paths
+    batch = simulate(p, a, cfg, variant=variant, tangent=bool(args.emit_paths))
     valid = ~batch.divergent
     weights = batch.weights()
     summary = {
@@ -394,7 +398,7 @@ def main(argv: Optional[list] = None) -> int:
         manifest["finished"] = time.time()
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["outputs"] = outputs
-        print(dumps(manifest), file=sys.stderr)
+        print(dumps(manifest, one_line=True), file=sys.stderr)
         return 1
 
     out_path = getattr(args, "out", None)
@@ -408,7 +412,7 @@ def main(argv: Optional[list] = None) -> int:
         outputs.append(args.emit_paths)
     manifest["finished"] = time.time()
     manifest["outputs"] = outputs
-    print(dumps(manifest), file=sys.stderr)
+    print(dumps(manifest, one_line=True), file=sys.stderr)
     return 0 if passed else 1
 
 

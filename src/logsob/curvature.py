@@ -43,6 +43,7 @@ from scipy.stats import qmc
 from .errors import ParameterError
 from .perturbations import Perturbation, psi, psi_radial
 from .potentials import Potential, jacobi_eigenvalues, rho_minus
+from .threads import worker_count
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
 
     # starts are independent work units; the min-reduction over their
     # results is exact, so the outcome cannot depend on scheduling
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(descend, starts))
     best_v, best_x = min(results, key=lambda r: r[0])
     on_boundary = bool(np.any(np.abs(best_x) > 0.98 * cfg.box_halfwidth))
@@ -197,18 +198,6 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
         details={"n_starts": cfg.n_starts, "box_halfwidth": cfg.box_halfwidth,
                  "minimum_on_box_boundary": on_boundary},
     )
-
-
-def _worker_count() -> int:
-    import os
-
-    env = os.environ.get("LOGSOB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,

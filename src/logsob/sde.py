@@ -4,8 +4,11 @@ The plain process solves dX = sqrt(2) dB - grad V(X) dt.  The perturbed
 process replaces the drift by grad V + 2 grad a / a (the gradient of the
 tilted potential V_a = V + log a^2).  Alongside the state we integrate
 
-  * the tangent flow J, dJ = -J hess V(X) dt, J_0 = I.  The Hessian of
-    the *unperturbed* potential enters in both variants.
+  * the tangent flow J, dJ = -J hess V(X) dt, J_0 = I, only when the
+    caller asks for it (``tangent=True``, the default): it is read only by
+    the gradient representation E[R J grad f(X_T)], and its Hessian build
+    and matrix update dominate the cost of a step.  The Hessian of the
+    *unperturbed* potential enters in both variants.
   * the reweighting martingale R on perturbed paths, accumulated through
     its pathwise exponent
 
@@ -44,6 +47,7 @@ from . import rng
 from .errors import EstimationError, ParameterError
 from .perturbations import Perturbation
 from .potentials import Potential
+from .threads import worker_count
 
 DIVERGENCE_RADIUS = 1e8
 MAX_DIVERGENT_FRACTION = 1e-3
@@ -95,7 +99,7 @@ class SmoothFunction:
 @dataclass(frozen=True)
 class PathRecord:
     x_t: np.ndarray
-    j_t: np.ndarray
+    j_t: Optional[np.ndarray]
     girsanov_log_weight: float
     psi_integral: float
     divergent: bool
@@ -106,7 +110,8 @@ class PathBatch:
 
     Iterating yields :class:`PathRecord` views; estimators work on the
     arrays directly.  ``checkpoint_log_weights`` maps requested times to
-    the log-weight arrays recorded there.
+    the log-weight arrays recorded there.  ``j_t`` is None when the batch
+    was simulated without the tangent flow.
     """
 
     def __init__(self, x_t, j_t, log_weight, psi_integral, divergent,
@@ -134,7 +139,7 @@ class PathBatch:
     def record(self, i: int) -> PathRecord:
         return PathRecord(
             x_t=self.x_t[i],
-            j_t=self.j_t[i],
+            j_t=None if self.j_t is None else self.j_t[i],
             girsanov_log_weight=float(self.girsanov_log_weight[i]),
             psi_integral=float(self.psi_integral[i]),
             divergent=bool(self.divergent[i]),
@@ -151,8 +156,12 @@ class PathBatch:
 def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plain",
              track_stochastic_weight: bool = False,
              checkpoint_times: Sequence[float] = (),
-             max_workers: Optional[int] = None) -> PathBatch:
-    """Run all paths of ``cfg`` and return their terminal records."""
+             max_workers: Optional[int] = None, tangent: bool = True) -> PathBatch:
+    """Run all paths of ``cfg`` and return their terminal records.
+
+    With ``tangent=False`` the tangent flow is not integrated and the
+    batch's ``j_t`` is None; every other output is bit-identical.
+    """
     if variant not in ("plain", "perturbed"):
         raise ParameterError("variant must be 'plain' or 'perturbed'")
     if cfg.dim != p.dim:
@@ -166,7 +175,7 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
         checkpoint_steps[float(t)] = k
 
     x_t = np.empty((n, d))
-    j_t = np.empty((n, d, d))
+    j_t = np.empty((n, d, d)) if tangent else None
     log_w = np.zeros(n)
     psi_int = np.zeros(n)
     divergent = np.zeros(n, dtype=bool)
@@ -174,16 +183,15 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
     stoch = np.zeros(n) if track_stochastic_weight else None
 
     blocks = rng.block_ranges(n)
-    args = [(p, a, cfg, variant, b, lo, hi, checkpoint_steps, track_stochastic_weight)
-            for b, lo, hi in blocks]
     observed_lg = [0.0] * len(blocks)
 
-    def run_and_store(idx_arg):
-        idx, arg = idx_arg
-        _, _, _, _, b, lo, hi, _, _ = arg
-        out = _run_block(*arg)
+    def run_and_store(idx_block):
+        idx, (b, lo, hi) = idx_block
+        out = _run_block(p, a, cfg, variant, b, lo, hi, checkpoint_steps,
+                         track_stochastic_weight, tangent)
         x_t[lo:hi] = out["x_t"]
-        j_t[lo:hi] = out["j_t"]
+        if tangent:
+            j_t[lo:hi] = out["j_t"]
         log_w[lo:hi] = out["log_w"]
         psi_int[lo:hi] = out["psi_int"]
         divergent[lo:hi] = out["divergent"]
@@ -193,13 +201,13 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
             stoch[lo:hi] = out["stoch"]
         observed_lg[idx] = out["observed_lg"]
 
-    workers = max_workers if max_workers is not None else _worker_count()
+    workers = max_workers if max_workers is not None else worker_count()
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_and_store, enumerate(args)))
+            list(pool.map(run_and_store, enumerate(blocks)))
     else:
-        for idx_arg in enumerate(args):
-            run_and_store(idx_arg)
+        for idx_block in enumerate(blocks):
+            run_and_store(idx_block)
 
     observed = max(observed_lg)
     # post hoc admissibility: the visited states must not reveal a larger
@@ -210,7 +218,7 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
                      observed_sup_log_grad=observed, g_condition_exceeded=exceeded)
 
 
-def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch):
+def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch, tangent):
     n = hi - lo
     d = cfg.dim
     dt = cfg.dt_eff
@@ -221,7 +229,7 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch)
     weighted = perturbed and a.family != "identity"
 
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
-    j = np.tile(np.eye(d), (n, 1, 1))
+    j = np.tile(np.eye(d), (n, 1, 1)) if tangent else None
     alive = np.ones(n, dtype=bool)
     grad = np.asarray(p.gradient(x), dtype=float)
     lg = np.asarray(a.log_grad(x), dtype=float) if weighted else None
@@ -230,11 +238,12 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch)
     # after each step; the half weight of the current endpoint is removed
     # whenever the integral is materialized
     if weighted:
-        psi_x = _psi_from_parts(a, p, x, lg, grad)
+        lg_norm2 = np.einsum("ni,ni->n", lg, lg)
+        psi_x = _psi_from_parts(a, x, lg, lg_norm2, grad)
         psi_sum = 0.5 * psi_x
         psi_last = psi_x
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
-        observed_lg = float(np.max(np.einsum("ni,ni->n", lg, lg))) ** 0.5
+        observed_lg = float(np.max(lg_norm2)) ** 0.5
     else:
         psi_sum = np.zeros(n)
         psi_last = np.zeros(n)
@@ -247,8 +256,6 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch)
 
     for k in range(n_steps):
         xi = rng.step_normals(cfg.seed, block, k, n, d)
-        hess = np.asarray(p.hessian(x), dtype=float)
-        j_new = j - dt * (j @ hess)
         drift = grad + 2.0 * lg if weighted else grad
         if track_stoch and weighted:
             stoch_inc = (math.sqrt(2.0) * sqrt_dt * np.einsum("ni,ni->n", lg, xi)
@@ -261,15 +268,16 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch)
             bad |= np.einsum("ni,ni->n", x_new, x_new) > DIVERGENCE_RADIUS**2
         alive = alive & ~bad
         keep = alive[:, None]
+        if tangent:
+            hess = np.asarray(p.hessian(x), dtype=float)
+            j = np.where(keep[:, :, None], j - dt * (j @ hess), j)
         x = np.where(keep, x_new, x)
-        j = np.where(keep[:, :, None], j_new, j)
         grad = np.asarray(p.gradient(x), dtype=float)
         if weighted:
             lg = np.asarray(a.log_grad(x), dtype=float)
             lg_norm2 = np.einsum("ni,ni->n", lg, lg)
             observed_lg = max(observed_lg, float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5)
-            psi_x = np.asarray(a.lap_over_a(x), dtype=float) - 2.0 * lg_norm2 \
-                - np.einsum("ni,ni->n", grad, lg)
+            psi_x = _psi_from_parts(a, x, lg, lg_norm2, grad)
             alive = alive & np.isfinite(psi_x)
             psi_sum = psi_sum + np.where(alive, psi_x, 0.0)
             psi_last = np.where(alive, psi_x, psi_last)
@@ -294,9 +302,11 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch)
     }
 
 
-def _psi_from_parts(a, p, x, lg, grad):
+def _psi_from_parts(a, x, lg, lg_norm2, grad):
+    """psi_a = lap a / a - 2 |grad a / a|^2 - grad V . grad a / a, from the
+    already evaluated ``lg`` = grad a / a, its squared norm and grad V."""
     return (np.asarray(a.lap_over_a(x), dtype=float)
-            - 2.0 * np.einsum("ni,ni->n", lg, lg)
+            - 2.0 * lg_norm2
             - np.einsum("ni,ni->n", grad, lg))
 
 
@@ -333,9 +343,13 @@ def _reduce(values: np.ndarray, batch: PathBatch) -> EstimateResult:
 def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
                          payoff: Callable[[PathBatch], np.ndarray],
                          variant: str = "plain",
-                         max_workers: Optional[int] = None) -> EstimateResult:
-    """Sample mean and standard error of a path functional."""
-    batch = simulate(p, a, cfg, variant=variant, max_workers=max_workers)
+                         max_workers: Optional[int] = None,
+                         tangent: bool = True) -> EstimateResult:
+    """Sample mean and standard error of a path functional.
+
+    Pass ``tangent=False`` when ``payoff`` does not read ``batch.j_t``.
+    """
+    batch = simulate(p, a, cfg, variant=variant, max_workers=max_workers, tangent=tangent)
     return _reduce(payoff(batch), batch)
 
 
@@ -351,18 +365,18 @@ def payoff_weighted_terminal(f: SmoothFunction):
     return lambda batch: batch.weights() * np.asarray(f.value(batch.x_t), dtype=float)
 
 
+def _tangent_gradient(f: SmoothFunction, batch: PathBatch) -> np.ndarray:
+    if batch.j_t is None:
+        raise ParameterError("batch was simulated without the tangent flow (tangent=False)")
+    return np.einsum("nij,nj->ni", batch.j_t, np.asarray(f.gradient(batch.x_t), dtype=float))
+
+
 def payoff_tangent_gradient(f: SmoothFunction):
-    return lambda batch: np.einsum(
-        "nij,nj->ni", batch.j_t, np.asarray(f.gradient(batch.x_t), dtype=float)
-    )
+    return lambda batch: _tangent_gradient(f, batch)
 
 
 def payoff_weighted_tangent_gradient(f: SmoothFunction):
-    def fn(batch):
-        jg = np.einsum("nij,nj->ni", batch.j_t, np.asarray(f.gradient(batch.x_t), dtype=float))
-        return batch.weights()[:, None] * jg
-
-    return fn
+    return lambda batch: batch.weights()[:, None] * _tangent_gradient(f, batch)
 
 
 def estimate_fk_gradient(p: Potential, a: Perturbation, f: SmoothFunction,
@@ -391,8 +405,8 @@ def estimate_gradient_fd(p: Potential, cfg: SdeConfig, f: SmoothFunction, h: flo
         shift[i] = h
         cfg_p = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 + shift))
         cfg_m = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 - shift))
-        bp = simulate(p, a_id, cfg_p, max_workers=max_workers)
-        bm = simulate(p, a_id, cfg_m, max_workers=max_workers)
+        bp = simulate(p, a_id, cfg_p, max_workers=max_workers, tangent=False)
+        bm = simulate(p, a_id, cfg_m, max_workers=max_workers, tangent=False)
         fp = np.asarray(f.value(bp.x_t), dtype=float)
         fm = np.asarray(f.value(bm.x_t), dtype=float)
         diffs.append((fp - fm) / (2.0 * h))
@@ -407,15 +421,3 @@ def _identity():
     from .perturbations import identity_perturbation
 
     return identity_perturbation()
-
-
-def _worker_count() -> int:
-    import os
-
-    env = os.environ.get("LOGSOB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)

@@ -128,7 +128,8 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
     g = check_G(a, dim=p.dim)
     if not g.satisfied:
         raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
-    batch = simulate(p, a, cfg, variant="perturbed", checkpoint_times=checkpoints)
+    batch = simulate(p, a, cfg, variant="perturbed", checkpoint_times=checkpoints,
+                     tangent=False)
     valid = ~batch.divergent
     if int(valid.sum()) < 2:
         raise EstimationError("too few valid paths")
@@ -179,8 +180,9 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
             if not a_ok:
                 raise PreconditionError("a non-decreasing",
                                         "perturbation decreases on the probe grid")
-    lhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="perturbed")
-    rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain")
+    lhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="perturbed",
+                               tangent=False)
+    rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain", tangent=False)
     sigma = math.sqrt(float(lhs.std_error) ** 2 + float(rhs.std_error) ** 2)
     passed = float(lhs.mean) <= float(rhs.mean) + k * sigma
     return CheckReport(

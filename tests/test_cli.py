@@ -28,6 +28,14 @@ def test_dumps_non_finite_as_strings():
     assert obj == {"a": "inf", "b": "-inf", "c": "nan"}
 
 
+def test_dumps_escapes_keys_and_strings():
+    obj = {'say "hi"\n': ["tab\there\r", {"k": "\\"}]}
+    assert json.loads(dumps(obj)) == obj
+    line = dumps(obj, one_line=True)
+    assert "\n" not in line and "\r" not in line
+    assert json.loads(line) == obj
+
+
 def test_dumps_numpy_types():
     obj = json.loads(dumps({"v": np.array([1.5, 2.5]), "n": np.int64(3), "f": np.float64(0.5)}))
     assert obj == {"v": [1.5, 2.5], "n": 3, "f": 0.5}
@@ -47,6 +55,7 @@ def test_bound_be_gaussian_constant_two(capsys):
     assert len(reports) == 1
     assert reports[0]["constant"] == 2.0
     assert reports[0]["valid"] is True
+    assert "\n" not in err.strip()
     manifest = json.loads(err)
     assert manifest["command"] == "bound"
     assert "finished" in manifest
@@ -88,6 +97,7 @@ def test_bound_bad_potential_exits_one(capsys):
     )
     assert code == 1
     assert out == ""
+    assert "\n" not in err.strip()
     assert "alpha" in json.loads(err)["error"]
 
 
@@ -142,14 +152,13 @@ def test_sweep_bad_range_exits_one(capsys):
 
 def test_simulate_summary_and_paths_file(tmp_path, capsys):
     out_file = tmp_path / "paths.csv"
-    code, out, _ = run(
-        capsys, "simulate",
-        "--potential", "family=gaussian rho=1 dim=2",
-        "--perturbation", "perturbation=arctan eps=0.3",
-        "--t", "0.2", "--dt", "0.01", "--paths", "256", "--seed", "7",
-        "--x0", "0.5,0",
-        "--emit-paths", str(out_file),
-    )
+    argv = ["simulate",
+            "--potential", "family=gaussian rho=1 dim=2",
+            "--perturbation", "perturbation=arctan eps=0.3",
+            "--t", "0.2", "--dt", "0.01", "--paths", "256", "--seed", "7",
+            "--x0", "0.5,0",
+            "--emit-paths", str(out_file)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     summary = json.loads(out)
     assert summary["n_paths"] == 256
@@ -158,6 +167,10 @@ def test_simulate_summary_and_paths_file(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "path_id,x_t_0,x_t_1,log_r,j_norm"
     assert len(lines) == 257
+    # without --emit-paths the tangent flow is skipped; the summary is unchanged
+    code, out_lean, _ = run(capsys, *argv[:-2])
+    assert code == 0
+    assert out_lean == out
 
 
 def test_simulate_deterministic_given_seed(capsys):

@@ -6,6 +6,7 @@ import pytest
 from logsob.errors import EstimationError, ParameterError
 from logsob.perturbations import arctan_perturbation, identity_perturbation
 from logsob.potentials import make_potential
+from logsob.rng import BLOCK_PATHS
 from logsob.sde import (
     SdeConfig,
     SmoothFunction,
@@ -49,16 +50,48 @@ def test_config_validation():
         SdeConfig(dt=0.1, horizon=1.0, n_paths=0, seed=0, x0=(0.0,))
 
 
+def _assert_same_paths(b1, b2):
+    assert np.array_equal(b1.x_t, b2.x_t)
+    assert np.array_equal(b1.girsanov_log_weight, b2.girsanov_log_weight)
+    assert np.array_equal(b1.psi_integral, b2.psi_integral)
+    assert np.array_equal(b1.divergent, b2.divergent)
+    assert np.array_equal(b1.log_weight_stochastic, b2.log_weight_stochastic)
+    assert b1.checkpoint_log_weights.keys() == b2.checkpoint_log_weights.keys()
+    for t, lw in b1.checkpoint_log_weights.items():
+        assert np.array_equal(lw, b2.checkpoint_log_weights[t])
+    assert b1.observed_sup_log_grad == b2.observed_sup_log_grad
+
+
 def test_determinism_across_worker_counts():
     p = make_potential("subbotin", 2, alpha=4.0)
     a = arctan_perturbation(0.4)
     # more paths than one block so that several blocks exist
-    cfg = SdeConfig(dt=0.01, horizon=0.1, n_paths=(1 << 16) + 500, seed=42, x0=(0.5, -0.5))
-    b1 = simulate(p, a, cfg, variant="perturbed", max_workers=1)
-    b4 = simulate(p, a, cfg, variant="perturbed", max_workers=4)
-    assert np.array_equal(b1.x_t, b4.x_t)
-    assert np.array_equal(b1.j_t, b4.j_t)
-    assert np.array_equal(b1.girsanov_log_weight, b4.girsanov_log_weight)
+    cfg = SdeConfig(dt=0.01, horizon=0.1, n_paths=BLOCK_PATHS + 500, seed=42, x0=(0.5, -0.5))
+    for variant in ("plain", "perturbed"):
+        def run(workers, tangent):
+            return simulate(p, a, cfg, variant=variant, track_stochastic_weight=True,
+                            checkpoint_times=(0.05, 0.1), max_workers=workers, tangent=tangent)
+
+        b1 = run(1, True)
+        b4 = run(4, True)
+        lean = [run(1, False), run(2, False)]
+        assert np.array_equal(b1.j_t, b4.j_t)
+        assert all(b.j_t is None for b in lean)
+        # skipping the tangent flow leaves every other output bit-identical
+        for other in [b4] + lean:
+            _assert_same_paths(b1, other)
+
+
+def test_tangent_payoff_needs_tangent_flow():
+    p = make_potential("gaussian", 1, rho=1.0)
+    cfg = SdeConfig(dt=0.05, horizon=0.2, n_paths=8, seed=3, x0=(1.0,))
+    batch = simulate(p, identity_perturbation(), cfg, tangent=False)
+    assert batch.j_t is None
+    with pytest.raises(ParameterError, match="tangent"):
+        payoff_tangent_gradient(LINEAR)(batch)
+    with pytest.raises(ParameterError, match="tangent"):
+        estimate_expectation(p, identity_perturbation(), cfg, payoff_tangent_gradient(LINEAR),
+                             tangent=False)
 
 
 def test_seed_changes_draws():
@@ -291,3 +324,6 @@ def test_path_record_view():
     assert recs[0].j_t.shape == (2, 2)
     assert recs[0].girsanov_log_weight == 0.0
     assert not recs[0].divergent
+    lean = list(simulate(p, identity_perturbation(), cfg, tangent=False))
+    assert [r.j_t for r in lean] == [None] * 4
+    assert all(np.array_equal(r.x_t, q.x_t) for r, q in zip(lean, recs))
