@@ -50,7 +50,6 @@ from .potentials import (
 from .sde import (
     EstimateResult,
     PathBatch,
-    PathRecord,
     SdeConfig,
     SmoothFunction,
     estimate_expectation,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import (
+from .curvature import (  # certify_* stay importable here for perfbench/tracing.py
     CurvatureReport,
     SearchConfig,
     certify_double_well,
@@ -233,60 +233,32 @@ def optimize_epsilon(family: str, d: int, beta: Optional[float] = None,
     double_well:  eps = 2/(d+1), giving kappa = 2d/(d+1) - 2 beta.
 
     The monotonicity claim is confirmed on an eps grid, and the returned
-    eps is re-validated through the polynomial certificate.
+    bound is :func:`fk_bound` at eps*, so it is certified exactly when
+    ``kappa`` proves its curvature value.  For the d = 1 double well, where
+    the polynomial certificate fails, kappa comes from the radial grid and
+    the bound is valid but not certified.
     """
     if d < 1:
         raise ParameterError("d must be a positive integer")
     if family == "quadric":
         eps_star = 8.0 / (3.0 * SQ3 * (d + 1))
-        cert = certify_quadric(eps_star, d)
-        kappa_val = eps_star * d
-        constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / (eps_star * d)
         if confirm_grid:
+            constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / (eps_star * d)
             eps_grid = np.linspace(eps_star / confirm_grid, eps_star, confirm_grid)
             objective = 4.0 * np.exp(eps_grid * math.pi / 4.0) / (eps_grid * d)
             if float(np.min(objective)) < constant - 1e-12 * constant:
                 raise AssertionError("eps objective is not minimized at the right endpoint")
         p = make_potential("subbotin", d, alpha=4.0)
-        beta_val = None
     elif family == "double_well":
         if beta is None:
             raise ParameterError("double_well requires beta")
         if not 0 <= beta < 0.5:
             raise ParameterError("beta must lie in [0, 1/2)")
         eps_star = 2.0 / (d + 1)
-        cert = certify_double_well(eps_star, d, beta)
-        kappa_val = eps_star * d - 2.0 * beta
-        constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / kappa_val
         p = make_potential("double_well", d, beta=beta) if beta > 0 else make_potential("subbotin", d, alpha=4.0)
-        beta_val = float(beta)
     else:
         raise ParameterError("family must be quadric or double_well")
-
-    a = arctan_perturbation(eps_star)
-    preconds = [
-        Verdict("(G)", True, False, "arctan family, closed-form norms"),
-        Verdict("kappa > 0", kappa_val > 0.0, False, f"kappa = {kappa_val:.12g}"),
-        Verdict("polynomial certificate", cert.valid, not cert.valid,
-                "certified at eps*" if cert.valid else
-                "surrogate polynomial not nonnegative; kappa cross-checked on the radial grid"),
-    ]
-    certified = cert.valid
-    if not cert.valid:
-        # the d = 1 double-well surrogate fails although the curvature value is
-        # correct there; fall back to the radial grid as the validation route
-        grid_rep = kappa(p, a)
-        grid_ok = abs(grid_rep.value - kappa_val) <= 1e-8
-        preconds.append(Verdict("radial-grid kappa agreement", grid_ok, True,
-                                f"grid kappa = {grid_rep.value:.12g}"))
-    valid = kappa_val > 0.0 and all(v.ok for v in preconds if v.name != "polynomial certificate")
-    report = _finalize(
-        "feynman_kac", valid, constant, preconds,
-        {"family": family, "dim": d, "eps": eps_star,
-         **({"beta": beta_val} if beta_val is not None else {})},
-        certified,
-    )
-    return eps_star, report
+    return eps_star, fk_bound(p, arctan_perturbation(eps_star))
 
 
 def envelope_constant(family: str, beta: Optional[float] = None) -> float:

@@ -24,11 +24,16 @@ an explicit quartic polynomial
 
     g(t) = 2 t^4 - eps (d+1) t^3 + 4 t^2 - eps (d+5) t + 2 - eps^2
 
-(with + beta added to the t^2 and constant coefficients in the double-well
-case).  ``certify_quadric`` and ``certify_double_well`` decide that
-nonnegativity by companion-matrix root isolation with Newton polish, so
-the reported curvature value is an exact evaluation rather than a grid
-minimum.
+(with + eps beta added to the t^2 and constant coefficients in the
+double-well case).  For d >= 2 the reduction is exact,
+kappa(t) - kappa(0) = t g(t) / (1 + t^2)^2; in d = 1 the radial eigenvalue
+3t replaces t, so g is a conservative surrogate there.
+``certify_quadric`` and ``certify_double_well`` decide that nonnegativity
+by companion-matrix root isolation with Newton polish, so the reported
+curvature value is an exact evaluation rather than a grid minimum.
+``kappa`` consults the certificate first for these pairs and
+reports a valid one as certified (method ``polynomial_certificate``); when
+the certificate fails, or for ``kappa_tilde``, the radial grid decides.
 """
 
 from __future__ import annotations
@@ -200,6 +205,18 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
     )
 
 
+def _quartic_certificate(p: Potential, a: Perturbation) -> Optional[Certificate]:
+    """The certificate that decides kappa for (p, a), or None outside its families."""
+    if a.family != "arctan":
+        return None
+    eps = a.params["eps"]
+    if p.family == "subbotin" and p.params["alpha"] == 4.0:
+        return certify_quadric(eps, p.dim)
+    if p.family == "double_well":
+        return certify_double_well(eps, p.dim, p.params["beta"])
+    return None
+
+
 def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
                cfg: Optional[SearchConfig]) -> CurvatureReport:
     cfg = cfg or SearchConfig()
@@ -209,6 +226,15 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
         return CurvatureReport(
             kind=kind, value=value, argmin=0.0, method="radial_closed_form", certified=True,
             details={"note": "identity perturbation, built-in eigenvalue floor at t=0"},
+        )
+    # the certificate needs no radial reduction, so it runs before the
+    # rotation spot check that guards the grid
+    cert = _quartic_certificate(p, a) if kind == "kappa" else None
+    if cert is not None and cert.valid:
+        return CurvatureReport(
+            kind=kind, value=cert.kappa_if_valid, argmin=0.0, method="polynomial_certificate",
+            certified=True,
+            details={"roots": cert.roots_found, "grid_min": cert.details["grid_min"]},
         )
     if p.is_radial and a.is_radial and p.radial_grad_coeff is not None:
         if p.dim > 1 and p.family != "custom":
@@ -329,7 +355,7 @@ def certify_double_well(eps: float, d: int, beta: float) -> Certificate:
         raise ParameterError("d must be a positive integer")
     if not 0 <= beta < 0.5:
         raise ParameterError("beta must lie in [0, 1/2)")
-    coeffs = (2.0, -eps * (d + 1), 4.0 + beta, -eps * (d + 5), 2.0 - eps * eps + beta)
+    coeffs = (2.0, -eps * (d + 1), 4.0 + eps * beta, -eps * (d + 5), 2.0 - eps * eps + eps * beta)
     positivity_ok = eps > 2.0 * beta / d
     note = "" if positivity_ok else "eps <= 2 beta / d: kappa at t=0 is not positive"
     return _certify(coeffs, "double_well", float(eps), int(d), float(beta),

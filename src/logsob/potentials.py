@@ -29,41 +29,14 @@ from .errors import EvaluationError, ParameterError
 Array = np.ndarray
 
 
-def jacobi_eigenvalues(matrix: Array, tol: float = 1e-12, max_sweeps: int = 100) -> Array:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Deterministic dense solver for the small matrices used here (d up to
-    a few hundred).  Sweeps until the off-diagonal Frobenius norm falls
-    below ``tol`` times the matrix scale.  Returns eigenvalues ascending.
-    """
+def jacobi_eigenvalues(matrix: Array) -> Array:
+    """Eigenvalues of a real symmetric matrix, ascending, by LAPACK
+    ``eigvalsh`` (only the lower triangle is read)."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("jacobi_eigenvalues expects a square matrix")
-    if n == 1:
-        return a[0, :1].copy()
-    scale = max(np.max(np.abs(a)), 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(a)
 
 
 @dataclass(frozen=True)
@@ -334,7 +307,7 @@ def rho_minus(p: Potential, x: Array) -> float:
 
 
 def hessian_eigenvalues(p: Potential, x: Array) -> Array:
-    """All Hessian eigenvalues at x via the dense Jacobi solver (ascending)."""
+    """All Hessian eigenvalues at x, ascending (dense LAPACK eigensolve)."""
     h = np.asarray(p.hessian(np.asarray(x, dtype=float)), dtype=float)
     return jacobi_eigenvalues(h)
 

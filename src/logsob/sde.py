@@ -96,22 +96,12 @@ class SmoothFunction:
     gradient: Callable
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    x_t: np.ndarray
-    j_t: Optional[np.ndarray]
-    girsanov_log_weight: float
-    psi_integral: float
-    divergent: bool
-
-
 class PathBatch:
     """Terminal data of a family of paths, stored columnwise.
 
-    Iterating yields :class:`PathRecord` views; estimators work on the
-    arrays directly.  ``checkpoint_log_weights`` maps requested times to
-    the log-weight arrays recorded there.  ``j_t`` is None when the batch
-    was simulated without the tangent flow.
+    ``checkpoint_log_weights`` maps requested times to the log-weight
+    arrays recorded there.  ``j_t`` is None when the batch was simulated
+    without the tangent flow.
     """
 
     def __init__(self, x_t, j_t, log_weight, psi_integral, divergent,
@@ -131,19 +121,6 @@ class PathBatch:
 
     def __len__(self):
         return self.x_t.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
-
-    def record(self, i: int) -> PathRecord:
-        return PathRecord(
-            x_t=self.x_t[i],
-            j_t=None if self.j_t is None else self.j_t[i],
-            girsanov_log_weight=float(self.girsanov_log_weight[i]),
-            psi_integral=float(self.psi_integral[i]),
-            divergent=bool(self.divergent[i]),
-        )
 
     @property
     def n_divergent(self) -> int:
@@ -259,7 +236,7 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch,
         drift = grad + 2.0 * lg if weighted else grad
         if track_stoch and weighted:
             stoch_inc = (math.sqrt(2.0) * sqrt_dt * np.einsum("ni,ni->n", lg, xi)
-                         - dt * np.einsum("ni,ni->n", lg, lg))
+                         - dt * lg_norm2)
             stoch = stoch + np.where(alive, stoch_inc, 0.0)
         x_new = x + sqrt_2dt * xi - dt * drift
 

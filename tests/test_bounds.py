@@ -171,12 +171,12 @@ def test_optimize_epsilon_double_well_formula():
 
 
 def test_optimize_epsilon_double_well_d1_uncertified_but_valid():
-    # the printed surrogate polynomial fails in d=1; the grid fallback validates
+    # the printed surrogate polynomial fails in d=1; kappa falls back to the grid
     eps, rep = optimize_epsilon("double_well", 1, 0.25)
     assert rep.valid and not rep.certified
-    assert any(v.heuristic and not v.ok for v in rep.preconditions) or any(
-        v.name == "radial-grid kappa agreement" for v in rep.preconditions
-    )
+    kappa_verdict = [v for v in rep.preconditions if v.name == "kappa_a > 0"][0]
+    assert kappa_verdict.ok and kappa_verdict.heuristic
+    assert "radial_grid" in kappa_verdict.detail
 
 
 def test_optimize_epsilon_rejects_bad_beta():

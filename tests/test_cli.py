@@ -76,6 +76,21 @@ def test_bound_all_methods(capsys):
     assert fk["constant"] > 0
 
 
+def test_bound_fk_quartic_arctan_is_certified(capsys):
+    code, out, _ = run(
+        capsys, "bound",
+        "--potential", "family=subbotin alpha=4 dim=2",
+        "--perturbation", "perturbation=arctan eps=0.3",
+        "--method", "fk",
+    )
+    assert code == 0
+    rep = json.loads(out)[0]
+    assert rep["valid"] is True and rep["certified"] is True
+    kappa_verdict = [v for v in rep["preconditions"] if v["name"] == "kappa_a > 0"][0]
+    assert kappa_verdict["heuristic"] is False
+    assert "(polynomial_certificate)" in kappa_verdict["detail"]
+
+
 def test_bound_invalid_is_reported_not_an_error(capsys):
     code, out, _ = run(
         capsys, "bound",

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from logsob.curvature import (
     Certificate,
     SearchConfig,
+    _radial_objective,
+    _radial_search,
     certify_double_well,
     certify_quadric,
     kappa,
@@ -35,9 +40,59 @@ def test_kappa_gaussian_identity_closed_form():
 def test_kappa_quadric_arctan_equals_eps_d(d):
     eps = eps_quadric(d)
     rep = kappa(make_potential("subbotin", d, alpha=4.0), arctan_perturbation(eps))
-    assert rep.method == "radial_grid"
-    assert abs(rep.value - eps * d) <= 1e-8
-    assert rep.argmin <= 1e-6
+    assert rep.method == "polynomial_certificate"
+    assert rep.certified
+    assert rep.value == eps * d
+    assert rep.argmin == 0.0
+
+
+@pytest.mark.parametrize("p,eps", [
+    (make_potential("subbotin", 1, alpha=4.0), 1.6),         # g(0) = 2 - eps^2 < 0
+    (make_potential("double_well", 1, beta=0.25), 1.0),     # d = 1 surrogate dips
+])
+def test_kappa_falls_back_to_grid_when_certificate_fails(p, eps):
+    a = arctan_perturbation(eps)
+    rep = kappa(p, a)
+    assert rep.method == "radial_grid" and not rep.certified
+    assert rep.value == _radial_search(p, a, 2.0, SearchConfig()).value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 64), scale=st.floats(0.01, 1.0), beta=st.floats(0.001, 0.499),
+       quadric=st.booleans())
+def test_certified_kappa_matches_radial_grid(d, scale, beta, quadric):
+    # the grid stays the oracle for every certificate-backed value
+    eps = scale * 4.0 / (d + 1)
+    a = arctan_perturbation(eps)
+    if quadric:
+        p, cert = make_potential("subbotin", d, alpha=4.0), certify_quadric(eps, d)
+    else:
+        p, cert = make_potential("double_well", d, beta=beta), certify_double_well(eps, d, beta)
+    rep = kappa(p, a)
+    grid = _radial_search(p, a, 2.0, SearchConfig())
+    if cert.valid:
+        assert rep.method == "polynomial_certificate" and rep.certified
+        assert rep.value == cert.kappa_if_valid
+        assert abs(rep.value - grid.value) <= 1e-8
+    else:
+        assert rep.method == "radial_grid" and not rep.certified
+        assert rep.value == grid.value
+
+
+@pytest.mark.parametrize("d,eps,beta", [(2, 0.7, 0.3), (5, 0.4, None), (8, 0.3853, 0.48),
+                                        (31, 0.1189, 0.0719)])
+def test_reduction_polynomial_is_exact_for_d_ge_2(d, eps, beta):
+    # kappa(t) - kappa(0) = t g(t) / (1 + t^2)^2 with g the certified quartic
+    if beta is None:
+        p, cert = make_potential("subbotin", d, alpha=4.0), certify_quadric(eps, d)
+    else:
+        p, cert = make_potential("double_well", d, beta=beta), certify_double_well(eps, d, beta)
+    a = arctan_perturbation(eps)
+    t = np.linspace(0.01, 5.0, 500)
+    k = _radial_objective(p, a, t, 2.0)
+    k0 = _radial_objective(p, a, np.asarray([0.0]), 2.0)[0]
+    g = np.polyval(cert.coefficients, t)
+    assert np.allclose((k - k0) * (1.0 + t * t) ** 2 / t, g, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d,beta", [(1, 0.25), (2, 0.05), (7, 0.45)])
@@ -148,7 +203,7 @@ def test_certificate_coefficients_pinned():
     assert cert.coefficients == (2.0, -eps * 6, 4.0, -eps * 10, 2.0 - eps**2)
     eps, d, beta = 0.4, 3, 0.2
     cert = certify_double_well(eps, d, beta)
-    assert cert.coefficients == (2.0, -eps * 4, 4.2, -eps * 8, 2.0 - eps**2 + 0.2)
+    assert cert.coefficients == (2.0, -eps * 4, 4.0 + eps * beta, -eps * 8, 2.0 - eps**2 + eps * beta)
 
 
 def test_quadric_tangency_detected_as_nonnegative():

@@ -313,17 +313,3 @@ def test_post_hoc_g_condition_observation():
     assert batch.observed_sup_log_grad <= a.sup_log_grad.value + 1e-12
     assert not batch.g_condition_exceeded
 
-
-def test_path_record_view():
-    p = make_potential("gaussian", 2, rho=1.0)
-    cfg = SdeConfig(dt=0.05, horizon=0.2, n_paths=4, seed=59, x0=(1.0, 0.0))
-    batch = simulate(p, identity_perturbation(), cfg)
-    recs = list(batch)
-    assert len(recs) == 4
-    assert recs[0].x_t.shape == (2,)
-    assert recs[0].j_t.shape == (2, 2)
-    assert recs[0].girsanov_log_weight == 0.0
-    assert not recs[0].divergent
-    lean = list(simulate(p, identity_perturbation(), cfg, tangent=False))
-    assert [r.j_t for r in lean] == [None] * 4
-    assert all(np.array_equal(r.x_t, q.x_t) for r, q in zip(lean, recs))
