@@ -27,20 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .curvature import (  # certify_* stay importable here for perfbench/tracing.py
-    CurvatureReport,
-    SearchConfig,
     certify_double_well,
     certify_quadric,
     kappa,
     kappa_tilde,
 )
 from .errors import ParameterError
-from .perturbations import (
-    ConditionReport,
-    Perturbation,
-    arctan_perturbation,
-    check_G,
-)
+from .perturbations import Perturbation, arctan_perturbation, check_G
 from .potentials import Potential, make_potential
 from .threads import worker_count
 
@@ -51,7 +44,7 @@ SQ3 = math.sqrt(3.0)
 class Verdict:
     name: str
     ok: bool
-    heuristic: bool = False
+    heuristic: bool
     detail: str = ""
 
 
@@ -63,7 +56,7 @@ class BoundReport:
     preconditions: tuple
     inputs: dict
     certified: bool
-    notes: str = ""
+    notes: str
 
     def failed(self):
         return [v.name for v in self.preconditions if not v.ok]
@@ -92,7 +85,7 @@ def _finalize(method, valid, constant, preconds, inputs, certified, notes=""):
     )
 
 
-def fk_bound(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) -> BoundReport:
+def fk_bound(p: Potential, a: Perturbation) -> BoundReport:
     """Curvature bound 4 ||a|| ||1/a|| / kappa_a."""
     g = check_G(a, dim=p.dim)
     preconds = [
@@ -109,7 +102,7 @@ def fk_bound(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) 
         # the curvature infimum is not evaluated for inadmissible perturbations
         preconds.append(Verdict("kappa_a > 0", False, True, "not evaluated"))
         return _finalize("feynman_kac", False, math.inf, preconds, _inputs(p, a), False)
-    krep = kappa(p, a, cfg)
+    krep = kappa(p, a)
     preconds.append(Verdict("kappa_a > 0", krep.value > 0.0, not krep.certified,
                             f"kappa = {krep.value:.12g} ({krep.method})"))
     valid = all(v.ok for v in preconds)
@@ -118,7 +111,7 @@ def fk_bound(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) 
     return _finalize("feynman_kac", valid, constant, preconds, _inputs(p, a), certified)
 
 
-def fk_mono_bound(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) -> BoundReport:
+def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
     """Monotone-scope curvature bound 2 / kappa_tilde_a, d = 1 only.
 
     The constant controls the entropy of non-decreasing positive test
@@ -135,7 +128,7 @@ def fk_mono_bound(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = N
         preconds.append(Verdict("kappa_tilde_a > 0", False, True, "not evaluated"))
         return _finalize("feynman_kac_monotone", False, math.inf, preconds, _inputs(p, a),
                          False, notes="scope: non-decreasing positive test functions only")
-    krep = kappa_tilde(p, a, cfg)
+    krep = kappa_tilde(p, a)
     preconds.append(Verdict("kappa_tilde_a > 0", krep.value > 0.0, not krep.certified,
                             f"kappa_tilde = {krep.value:.12g} ({krep.method})"))
     valid = all(v.ok for v in preconds)
@@ -223,9 +216,11 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
 
 # --- epsilon optimization and sweeps -----------------------------------------
 
+# points of the eps grid on which the quadric objective's monotonicity is confirmed
+EPS_CONFIRM_GRID = 1024
 
-def optimize_epsilon(family: str, d: int, beta: Optional[float] = None,
-                     confirm_grid: int = 1024):
+
+def optimize_epsilon(family: str, d: int, beta: Optional[float] = None):
     """Best admissible eps for the arctan perturbation and its bound.
 
     quadric:      the objective 4 exp(eps pi/4) / (eps d) decreases in eps on
@@ -242,12 +237,11 @@ def optimize_epsilon(family: str, d: int, beta: Optional[float] = None,
         raise ParameterError("d must be a positive integer")
     if family == "quadric":
         eps_star = 8.0 / (3.0 * SQ3 * (d + 1))
-        if confirm_grid:
-            constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / (eps_star * d)
-            eps_grid = np.linspace(eps_star / confirm_grid, eps_star, confirm_grid)
-            objective = 4.0 * np.exp(eps_grid * math.pi / 4.0) / (eps_grid * d)
-            if float(np.min(objective)) < constant - 1e-12 * constant:
-                raise AssertionError("eps objective is not minimized at the right endpoint")
+        constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / (eps_star * d)
+        eps_grid = np.linspace(eps_star / EPS_CONFIRM_GRID, eps_star, EPS_CONFIRM_GRID)
+        objective = 4.0 * np.exp(eps_grid * math.pi / 4.0) / (eps_grid * d)
+        if float(np.min(objective)) < constant - 1e-12 * constant:
+            raise AssertionError("eps objective is not minimized at the right endpoint")
         p = make_potential("subbotin", d, alpha=4.0)
     elif family == "double_well":
         if beta is None:
@@ -283,8 +277,7 @@ class SweepRow:
     certified: bool
 
 
-def dimension_sweep(family: str, dims, beta: Optional[float] = None,
-                    max_workers: Optional[int] = None):
+def dimension_sweep(family: str, dims, beta: Optional[float] = None):
     """One optimized bound per dimension, with the envelope assertion."""
     dims = list(dims)
     if not dims:
@@ -297,7 +290,7 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None,
         return SweepRow(d=d, eps=eps, kappa=kappa_val, bound=rep.constant,
                         envelope=env, valid=rep.valid, certified=rep.certified)
 
-    workers = max_workers or worker_count()
+    workers = worker_count()
     if workers > 1 and len(dims) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, dims))

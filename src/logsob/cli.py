@@ -72,10 +72,9 @@ def _jsonable(obj):
     return obj
 
 
-def dumps(obj, indent: int = 0, one_line: bool = False) -> str:
+def dumps(obj, one_line: bool = False) -> str:
     """JSON text with 17-significant-digit floats, on one line if asked."""
     obj = _jsonable(obj)
-    pad = " " * indent
     nl = "" if one_line else "\n"
     sep = ", " if one_line else ",\n"
 
@@ -105,7 +104,7 @@ def dumps(obj, indent: int = 0, one_line: bool = False) -> str:
             return "[" + nl + sep.join(items) + f"{nl}{sp}]"
         raise TypeError(f"cannot serialize {type(o)!r}")
 
-    return pad + render(obj, 0)
+    return render(obj, 0)
 
 
 def _csv_cell(v) -> str:
@@ -116,6 +115,13 @@ def _csv_cell(v) -> str:
             return "inf" if v > 0 else "-inf"
         return "%.17g" % v
     return str(v)
+
+
+def _parse_x0(text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ParameterError(f"bad --x0 {text!r}: expected comma-separated numbers") from None
 
 
 # --- named test functions ----------------------------------------------------
@@ -224,7 +230,7 @@ def _cmd_sweep(args) -> tuple:
 def _cmd_simulate(args) -> tuple:
     p = parse_potential(args.potential)
     a = parse_perturbation(args.perturbation)
-    x0 = tuple(float(v) for v in args.x0.split(","))
+    x0 = _parse_x0(args.x0)
     cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
     variant = "perturbed" if a.family != "identity" else "plain"
     # the tangent flow feeds only the j_norm column of --emit-paths
@@ -259,7 +265,7 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_verify(args) -> tuple:
     p = parse_potential(args.potential)
     a = parse_perturbation(args.perturbation)
-    x0 = tuple(float(v) for v in args.x0.split(",")) if args.x0 else tuple([0.0] * p.dim)
+    x0 = _parse_x0(args.x0) if args.x0 else (0.0,) * p.dim
     cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
     f = _named_function(args.f, p.dim)
     if args.check == "representation":

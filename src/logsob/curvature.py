@@ -39,7 +39,7 @@ the certificate fails, or for ``kappa_tilde``, the radial grid decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,19 +47,25 @@ from scipy.stats import qmc
 
 from .errors import ParameterError
 from .perturbations import Perturbation, psi, psi_radial
-from .potentials import Potential, jacobi_eigenvalues, rho_minus
+from .potentials import Potential, jacobi_eigenvalues
 from .threads import worker_count
+
+# radial search: a logarithmic grid on [0, T_MAX], doubled while the
+# minimum sits at its edge, then golden-section refinement down to REFINE_TOL
+T_MAX = 1e4
+GRID_POINTS = 8192
+REFINE_TOL = 1e-10
+# multistart search: Sobol starting points in the box [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d
+BOX_HALFWIDTH = 8.0
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the global minimization."""
+    """The settings of the global minimization that callers vary: the
+    largest radial grid edge and the number of multistart points.  The
+    other settings are the module constants above."""
 
-    t_max: float = 1e4
-    grid_points: int = 8192
-    refine_tol: float = 1e-10
     t_max_cap: float = 1e8
-    box_halfwidth: float = 8.0
     n_starts: int = 64
 
 
@@ -70,7 +76,7 @@ class CurvatureReport:
     argmin: object            # radial coordinate t* or a point in R^d
     method: str               # radial_closed_form | radial_grid | full_grid | polynomial_certificate
     certified: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class Certificate:
     nonneg_on_halfline: bool
     kappa_if_valid: float
     valid: bool               # nonneg and, for double_well, eps > 2 beta / d
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _radial_objective(p: Potential, a: Perturbation, t: np.ndarray, weight: float) -> np.ndarray:
@@ -136,10 +142,10 @@ def _golden_refine(f, lo, hi, tol):
 
 
 def _radial_search(p, a, weight, cfg: SearchConfig):
-    t_max = cfg.t_max
+    t_max = T_MAX
     doublings = 0
     while True:
-        grid = np.concatenate([[0.0], np.logspace(-8, math.log10(t_max), cfg.grid_points - 1)])
+        grid = np.concatenate([[0.0], np.logspace(-8, math.log10(t_max), GRID_POINTS - 1)])
         vals = _radial_objective(p, a, grid, weight)
         idx = int(np.argmin(vals))
         best_t, best_v = float(grid[idx]), float(vals[idx])
@@ -156,7 +162,7 @@ def _radial_search(p, a, weight, cfg: SearchConfig):
                 kind="", value=-math.inf, argmin=float(grid[-1]), method="radial_grid",
                 certified=False,
                 details={
-                    "grid_points": cfg.grid_points,
+                    "grid_points": GRID_POINTS,
                     "t_max": t_max,
                     "doublings": doublings,
                     "unbounded_below": True,
@@ -165,12 +171,12 @@ def _radial_search(p, a, weight, cfg: SearchConfig):
         lo = grid[max(idx - 1, 0)]
         hi = grid[min(idx + 1, grid.size - 1)]
         f = lambda t: float(_radial_objective(p, a, np.asarray([t]), weight)[0])
-        t_ref, v_ref = _golden_refine(f, float(lo), float(hi), cfg.refine_tol)
+        t_ref, v_ref = _golden_refine(f, float(lo), float(hi), REFINE_TOL)
         if v_ref < best_v:
             best_t, best_v = t_ref, v_ref
         return CurvatureReport(
             kind="", value=best_v, argmin=best_t, method="radial_grid", certified=False,
-            details={"grid_points": cfg.grid_points, "t_max": t_max, "doublings": doublings},
+            details={"grid_points": GRID_POINTS, "t_max": t_max, "doublings": doublings},
         )
 
 
@@ -181,7 +187,7 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
 
     d = p.dim
     sampler = qmc.Sobol(d, scramble=False)
-    starts = qmc.scale(sampler.random(cfg.n_starts), -cfg.box_halfwidth, cfg.box_halfwidth)
+    starts = qmc.scale(sampler.random(cfg.n_starts), -BOX_HALFWIDTH, BOX_HALFWIDTH)
 
     def descend(x0):
         res = minimize(
@@ -197,10 +203,10 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(descend, starts))
     best_v, best_x = min(results, key=lambda r: r[0])
-    on_boundary = bool(np.any(np.abs(best_x) > 0.98 * cfg.box_halfwidth))
+    on_boundary = bool(np.any(np.abs(best_x) > 0.98 * BOX_HALFWIDTH))
     return CurvatureReport(
         kind="", value=best_v, argmin=best_x, method="full_grid", certified=False,
-        details={"n_starts": cfg.n_starts, "box_halfwidth": cfg.box_halfwidth,
+        details={"n_starts": cfg.n_starts, "box_halfwidth": BOX_HALFWIDTH,
                  "minimum_on_box_boundary": on_boundary},
     )
 
@@ -251,9 +257,9 @@ def kappa(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) -> 
     return _curvature(p, a, 2.0, "kappa", cfg)
 
 
-def kappa_tilde(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) -> CurvatureReport:
+def kappa_tilde(p: Potential, a: Perturbation) -> CurvatureReport:
     """inf over x of rho_-(hess V) + psi_a (monotone-scope variant)."""
-    return _curvature(p, a, 1.0, "kappa_tilde", cfg)
+    return _curvature(p, a, 1.0, "kappa_tilde", None)
 
 
 # --- polynomial certificates ------------------------------------------------
@@ -263,12 +269,13 @@ _TANGENCY_TOL = 1e-8
 _GRID_SAFETY_TOL = 1e-9
 
 
-def _polish_root(coeffs, r, iters=40):
-    """Newton polish of a real root candidate; falls back to the input."""
+def _polish_root(coeffs, r):
+    """Newton polish (at most 40 steps) of a real root candidate; falls
+    back to the input."""
     poly = np.polynomial.polynomial.Polynomial(coeffs[::-1])
     dpoly = poly.deriv()
     x = float(r)
-    for _ in range(iters):
+    for _ in range(40):
         fx = poly(x)
         dfx = dpoly(x)
         if dfx == 0.0:

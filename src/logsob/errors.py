@@ -8,10 +8,10 @@ class ParameterError(ValueError):
 class EvaluationError(ArithmeticError):
     """A pointwise evaluation produced a non-finite intermediate.
 
-    Carries the offending point in ``point`` when available.
+    Carries the offending point in ``point``.
     """
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point):
         super().__init__(message)
         self.point = point
 
@@ -19,11 +19,8 @@ class EvaluationError(ArithmeticError):
 class PreconditionError(RuntimeError):
     """A named precondition of a check or bound is not met."""
 
-    def __init__(self, condition, message=None):
-        text = f"precondition failed: {condition}"
-        if message:
-            text += f" ({message})"
-        super().__init__(text)
+    def __init__(self, condition, message):
+        super().__init__(f"precondition failed: {condition} ({message})")
         self.condition = condition
 
 

@@ -61,7 +61,7 @@ class ConditionReport:
     sup: float
     exact: bool
     heuristic: bool
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -172,21 +172,15 @@ def make_custom_perturbation(
     gradient: Callable,
     laplacian: Callable,
     dim: int,
-    vectorized: bool = True,
 ) -> Perturbation:
-    """Wrap user callables (value, gradient, Laplacian) as a Perturbation.
+    """Wrap user callables (value, gradient, Laplacian), each batched over
+    (..., dim)-shaped points, as a Perturbation.
 
     Norms are grid estimates over a radial logarithmic grid along the
     coordinate axes and diagonals, flagged ``exact=False``.
     """
     if dim < 1:
         raise ParameterError("dim must be a positive integer")
-    if not vectorized:
-        from .potentials import _vectorize_point_fn
-
-        value = _vectorize_point_fn(value)
-        gradient = _vectorize_point_fn(gradient)
-        laplacian = _vectorize_point_fn(laplacian)
 
     def log_grad(x):
         x = np.asarray(x, dtype=float)
@@ -232,6 +226,14 @@ def _probe_points(dim: int) -> Array:
     return pts
 
 
+def psi_from_parts(a: Perturbation, x: Array, lg: Array, lg_norm2: Array, grad: Array) -> Array:
+    """psi_a at x from the already evaluated ``lg`` = grad a / a, its
+    squared norm ``lg_norm2`` and ``grad`` = grad V; no finiteness check."""
+    return (np.asarray(a.lap_over_a(x), dtype=float)
+            - 2.0 * lg_norm2
+            - np.einsum("...i,...i->...", grad, lg))
+
+
 def psi(a: Perturbation, p: Potential, x: Array) -> Array:
     """The scalar field lap a/a - 2|grad a/a|^2 - grad V . grad a/a."""
     x = np.asarray(x, dtype=float)
@@ -239,11 +241,8 @@ def psi(a: Perturbation, p: Potential, x: Array) -> Array:
         return np.zeros(x.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         lg = np.asarray(a.log_grad(x), dtype=float)
-        out = (
-            np.asarray(a.lap_over_a(x), dtype=float)
-            - 2.0 * np.sum(lg * lg, axis=-1)
-            - np.sum(np.asarray(p.gradient(x), dtype=float) * lg, axis=-1)
-        )
+        out = psi_from_parts(a, x, lg, np.einsum("...i,...i->...", lg, lg),
+                             np.asarray(p.gradient(x), dtype=float))
     if not np.all(np.isfinite(out)):
         bad = x[~np.isfinite(out)][:1] if x.ndim > 1 else x
         raise EvaluationError("psi evaluation produced a non-finite value", point=np.asarray(bad))
@@ -266,7 +265,7 @@ def psi_radial(a: Perturbation, p: Potential, t: Array) -> Array:
 # --- admissibility conditions --------------------------------------------
 
 
-def check_G(a: Perturbation, probe_t: Optional[Array] = None, dim: int = 1) -> ConditionReport:
+def check_G(a: Perturbation, dim: int = 1) -> ConditionReport:
     """Boundedness of |grad a|/a, the admissibility condition for the
     path-reweighting representation."""
     if a.family == "identity":
@@ -277,10 +276,7 @@ def check_G(a: Perturbation, probe_t: Optional[Array] = None, dim: int = 1) -> C
             "(G)", True, eps * 3.0 ** 0.75 / 4.0, True, False,
             "closed-form maximum of eps sqrt(t)/(1+t^2) at t = 1/sqrt(3)",
         )
-    t = _NORM_GRID_T if probe_t is None else np.asarray(probe_t, dtype=float)
-    if t.size == 0:
-        raise ParameterError("probe grid must be non-empty")
-    pts = _probe_points(dim) if probe_t is None else np.sqrt(t)[:, None] * np.eye(dim)[0][None, :]
+    pts = _probe_points(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         lg = np.sqrt(np.sum(np.asarray(a.log_grad(pts)) ** 2, axis=-1))
     finite = np.isfinite(lg)
@@ -305,7 +301,7 @@ def check_G(a: Perturbation, probe_t: Optional[Array] = None, dim: int = 1) -> C
     return ConditionReport("(G)", True, sup, False, True, "grid estimate")
 
 
-def check_BM(a: Perturbation, p: Potential, grid_t: Optional[Array] = None) -> ConditionReport:
+def check_BM(a: Perturbation, p: Potential) -> ConditionReport:
     """Sign and boundedness structure of the tilted Hessian hess(V_a).
 
     Condition (1): off-diagonal entries of hess(V_a) nonpositive (vacuous
@@ -314,7 +310,7 @@ def check_BM(a: Perturbation, p: Potential, grid_t: Optional[Array] = None) -> C
     grid checks flagged heuristic.
     """
     d = p.dim
-    t = _NORM_GRID_T if grid_t is None else np.asarray(grid_t, dtype=float)
+    t = _NORM_GRID_T
     if not (p.is_radial and p.radial_hess_split is not None and a.is_radial
             and a.radial_hess_log_a2_split is not None):
         raise ParameterError("check_BM supports radial potential/perturbation pairs")
@@ -364,10 +360,14 @@ def parse_perturbation(text: str) -> Perturbation:
             raise ParameterError("identity perturbation takes no parameters")
         return identity_perturbation()
     if family == "arctan":
+        eps_text = fields.pop("eps", None)
+        if eps_text is None:
+            raise ParameterError("arctan perturbation requires eps=...")
         try:
-            eps = float(fields.pop("eps"))
-        except KeyError:
-            raise ParameterError("arctan perturbation requires eps=...") from None
+            eps = float(eps_text)
+        except ValueError:
+            raise ParameterError(
+                "malformed number in perturbation token %r" % f"eps={eps_text}") from None
         if fields:
             raise ParameterError("unknown parameters %r for arctan" % sorted(fields))
         return arctan_perturbation(eps)

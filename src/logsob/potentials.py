@@ -344,7 +344,11 @@ def parse_potential(text: str) -> Potential:
     for key, val in fields.items():
         if key not in _FAMILY_PARAMS[family]:
             raise ParameterError("unknown parameter %r for family %r" % (key, family))
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ParameterError(
+                "malformed number in potential token %r" % f"{key}={val}") from None
     return make_potential(family, dim, **params)
 
 

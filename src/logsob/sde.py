@@ -45,12 +45,14 @@ import numpy as np
 
 from . import rng
 from .errors import EstimationError, ParameterError
-from .perturbations import Perturbation
+from .perturbations import Perturbation, identity_perturbation, psi_from_parts
 from .potentials import Potential
 from .threads import worker_count
 
 DIVERGENCE_RADIUS = 1e8
 MAX_DIVERGENT_FRACTION = 1e-3
+# shift of the initial condition in the central-difference gradient oracle
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,9 @@ class PathBatch:
     without the tangent flow.
     """
 
-    def __init__(self, x_t, j_t, log_weight, psi_integral, divergent,
-                 cfg, variant, checkpoint_log_weights=None, log_weight_stochastic=None,
-                 observed_sup_log_grad=0.0, g_condition_exceeded=False):
+    def __init__(self, x_t, j_t, log_weight, psi_integral, divergent, cfg, variant,
+                 checkpoint_log_weights, log_weight_stochastic, observed_sup_log_grad,
+                 g_condition_exceeded):
         self.x_t = x_t
         self.j_t = j_t
         self.girsanov_log_weight = log_weight
@@ -114,7 +116,7 @@ class PathBatch:
         self.divergent = divergent
         self.cfg = cfg
         self.variant = variant
-        self.checkpoint_log_weights = checkpoint_log_weights or {}
+        self.checkpoint_log_weights = checkpoint_log_weights
         self.log_weight_stochastic = log_weight_stochastic
         self.observed_sup_log_grad = observed_sup_log_grad
         self.g_condition_exceeded = g_condition_exceeded
@@ -151,6 +153,8 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
             raise ParameterError(f"checkpoint time {t} outside (0, horizon]")
         checkpoint_steps[float(t)] = k
 
+    # unweighted paths (plain, or a = 1) keep these zero: R = 1 exactly
+    weighted = variant == "perturbed" and a.family != "identity"
     x_t = np.empty((n, d))
     j_t = np.empty((n, d, d)) if tangent else None
     log_w = np.zeros(n)
@@ -164,19 +168,20 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
 
     def run_and_store(idx_block):
         idx, (b, lo, hi) = idx_block
-        out = _run_block(p, a, cfg, variant, b, lo, hi, checkpoint_steps,
+        out = _run_block(p, a, cfg, weighted, b, lo, hi, checkpoint_steps,
                          track_stochastic_weight, tangent)
         x_t[lo:hi] = out["x_t"]
         if tangent:
             j_t[lo:hi] = out["j_t"]
-        log_w[lo:hi] = out["log_w"]
-        psi_int[lo:hi] = out["psi_int"]
         divergent[lo:hi] = out["divergent"]
-        for t, arr in out["checkpoints"].items():
-            cp_logs[t][lo:hi] = arr
-        if stoch is not None:
-            stoch[lo:hi] = out["stoch"]
-        observed_lg[idx] = out["observed_lg"]
+        if weighted:
+            log_w[lo:hi] = out["log_w"]
+            psi_int[lo:hi] = out["psi_int"]
+            for t, arr in out["checkpoints"].items():
+                cp_logs[t][lo:hi] = arr
+            if stoch is not None:
+                stoch[lo:hi] = out["stoch"]
+            observed_lg[idx] = out["observed_lg"]
 
     workers = max_workers if max_workers is not None else worker_count()
     if workers > 1 and len(blocks) > 1:
@@ -195,46 +200,49 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
                      observed_sup_log_grad=observed, g_condition_exceeded=exceeded)
 
 
-def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch, tangent):
+def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch, tangent):
+    """One block of paths.  Unweighted blocks return only ``x_t``, ``j_t``
+    and ``divergent``; the caller's zero-initialised weight arrays stand."""
     n = hi - lo
     d = cfg.dim
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
     sqrt_dt = math.sqrt(dt)
     n_steps = cfg.n_steps
-    perturbed = variant == "perturbed"
-    weighted = perturbed and a.family != "identity"
 
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
     j = np.tile(np.eye(d), (n, 1, 1)) if tangent else None
     alive = np.ones(n, dtype=bool)
     grad = np.asarray(p.gradient(x), dtype=float)
-    lg = np.asarray(a.log_grad(x), dtype=float) if weighted else None
-    observed_lg = 0.0
     # running trapezoid sum: half weight on the initial state, full weights
     # after each step; the half weight of the current endpoint is removed
     # whenever the integral is materialized
     if weighted:
+        lg = np.asarray(a.log_grad(x), dtype=float)
         lg_norm2 = np.einsum("ni,ni->n", lg, lg)
-        psi_x = _psi_from_parts(a, x, lg, lg_norm2, grad)
+        psi_x = psi_from_parts(a, x, lg, lg_norm2, grad)
         psi_sum = 0.5 * psi_x
         psi_last = psi_x
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         observed_lg = float(np.max(lg_norm2)) ** 0.5
-    else:
-        psi_sum = np.zeros(n)
-        psi_last = np.zeros(n)
-        log_a0 = np.zeros(n)
+    track_stoch = track_stoch and weighted
     stoch = np.zeros(n) if track_stoch else None
+
+    def log_weight():
+        """(log R, int psi ds) at the current state."""
+        integral = dt * (psi_sum - 0.5 * psi_last)
+        return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
+
     checkpoints = {}
     step_of = {}
-    for t, k in checkpoint_steps.items():
-        step_of.setdefault(k, []).append(t)
+    if weighted:
+        for t, k in checkpoint_steps.items():
+            step_of.setdefault(k, []).append(t)
 
     for k in range(n_steps):
         xi = rng.step_normals(cfg.seed, block, k, n, d)
         drift = grad + 2.0 * lg if weighted else grad
-        if track_stoch and weighted:
+        if track_stoch:
             stoch_inc = (math.sqrt(2.0) * sqrt_dt * np.einsum("ni,ni->n", lg, xi)
                          - dt * lg_norm2)
             stoch = stoch + np.where(alive, stoch_inc, 0.0)
@@ -254,37 +262,19 @@ def _run_block(p, a, cfg, variant, block, lo, hi, checkpoint_steps, track_stoch,
             lg = np.asarray(a.log_grad(x), dtype=float)
             lg_norm2 = np.einsum("ni,ni->n", lg, lg)
             observed_lg = max(observed_lg, float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5)
-            psi_x = _psi_from_parts(a, x, lg, lg_norm2, grad)
+            psi_x = psi_from_parts(a, x, lg, lg_norm2, grad)
             alive = alive & np.isfinite(psi_x)
             psi_sum = psi_sum + np.where(alive, psi_x, 0.0)
             psi_last = np.where(alive, psi_x, psi_last)
-        if (k + 1) in step_of:
-            for t in step_of[k + 1]:
-                if weighted:
-                    integral = dt * (psi_sum - 0.5 * psi_last)
-                    checkpoints[t] = np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral
-                else:
-                    checkpoints[t] = np.zeros(n)
+        for t in step_of.get(k + 1, ()):
+            checkpoints[t] = log_weight()[0]
 
+    out = {"x_t": x, "j_t": j, "divergent": ~alive}
     if weighted:
-        psi_int = dt * (psi_sum - 0.5 * psi_last)
-        log_w = np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - psi_int
-    else:
-        psi_int = np.zeros(n)
-        log_w = np.zeros(n)
-    return {
-        "x_t": x, "j_t": j, "log_w": log_w, "psi_int": psi_int,
-        "divergent": ~alive, "checkpoints": checkpoints,
-        "stoch": stoch, "observed_lg": observed_lg,
-    }
-
-
-def _psi_from_parts(a, x, lg, lg_norm2, grad):
-    """psi_a = lap a / a - 2 |grad a / a|^2 - grad V . grad a / a, from the
-    already evaluated ``lg`` = grad a / a, its squared norm and grad V."""
-    return (np.asarray(a.lap_over_a(x), dtype=float)
-            - 2.0 * lg_norm2
-            - np.einsum("ni,ni->n", grad, lg))
+        log_w, psi_int = log_weight()
+        out.update(log_w=log_w, psi_int=psi_int, checkpoints=checkpoints, stoch=stoch,
+                   observed_lg=observed_lg)
+    return out
 
 
 # --- estimators ---------------------------------------------------------------
@@ -296,38 +286,31 @@ class EstimateResult:
     std_error: np.ndarray
     n_valid: int
     n_divergent: int
-    reliable: bool = True
-
-    def __iter__(self):
-        yield self.mean
-        yield self.std_error
+    reliable: bool
 
 
-def _reduce(values: np.ndarray, batch: PathBatch) -> EstimateResult:
-    valid = ~batch.divergent
+def _reduce(values: np.ndarray, divergent: np.ndarray) -> EstimateResult:
+    valid = ~divergent
     n_valid = int(np.sum(valid))
     if n_valid < 2:
         raise EstimationError(f"only {n_valid} valid paths; cannot estimate")
     vals = np.asarray(values)[valid]
     mean = np.mean(vals, axis=0)
     se = np.std(vals, axis=0, ddof=1) / math.sqrt(n_valid)
-    frac_div = batch.n_divergent / len(batch)
-    return EstimateResult(mean=mean, std_error=se, n_valid=n_valid,
-                          n_divergent=batch.n_divergent,
-                          reliable=frac_div <= MAX_DIVERGENT_FRACTION)
+    n_divergent = divergent.size - n_valid
+    return EstimateResult(mean=mean, std_error=se, n_valid=n_valid, n_divergent=n_divergent,
+                          reliable=n_divergent / divergent.size <= MAX_DIVERGENT_FRACTION)
 
 
 def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
                          payoff: Callable[[PathBatch], np.ndarray],
-                         variant: str = "plain",
-                         max_workers: Optional[int] = None,
-                         tangent: bool = True) -> EstimateResult:
+                         variant: str = "plain", tangent: bool = True) -> EstimateResult:
     """Sample mean and standard error of a path functional.
 
     Pass ``tangent=False`` when ``payoff`` does not read ``batch.j_t``.
     """
-    batch = simulate(p, a, cfg, variant=variant, max_workers=max_workers, tangent=tangent)
-    return _reduce(payoff(batch), batch)
+    batch = simulate(p, a, cfg, variant=variant, tangent=tangent)
+    return _reduce(payoff(batch), batch.divergent)
 
 
 def payoff_terminal(f: SmoothFunction):
@@ -357,44 +340,33 @@ def payoff_weighted_tangent_gradient(f: SmoothFunction):
 
 
 def estimate_fk_gradient(p: Potential, a: Perturbation, f: SmoothFunction,
-                         cfg: SdeConfig, max_workers: Optional[int] = None) -> EstimateResult:
+                         cfg: SdeConfig) -> EstimateResult:
     """Monte Carlo estimate of E[R J grad f(X_T)] on perturbed paths."""
-    batch = simulate(p, a, cfg, variant="perturbed", max_workers=max_workers)
-    return _reduce(payoff_weighted_tangent_gradient(f)(batch), batch)
+    batch = simulate(p, a, cfg, variant="perturbed")
+    return _reduce(payoff_weighted_tangent_gradient(f)(batch), batch.divergent)
 
 
-def estimate_gradient_fd(p: Potential, cfg: SdeConfig, f: SmoothFunction, h: float,
-                         max_workers: Optional[int] = None) -> EstimateResult:
-    """Central differences of x0 -> E[f(X_T^x0)] with common random numbers.
+def estimate_gradient_fd(p: Potential, cfg: SdeConfig, f: SmoothFunction) -> EstimateResult:
+    """Central differences of x0 -> E[f(X_T^x0)] with step FD_STEP and
+    common random numbers.
 
     Both shifted runs reuse the Brownian increments of ``cfg.seed``, so the
-    difference is computed pathwise and its variance stays O(1) in h.
+    difference is computed pathwise and its variance stays O(1) in the step.
     """
-    if not h > 0:
-        raise ParameterError("h must be positive")
     d = cfg.dim
     x0 = np.asarray(cfg.x0, dtype=float)
-    a_id = _identity()
+    a_id = identity_perturbation()
     diffs = []
-    divergent = None
+    divergent = np.zeros(cfg.n_paths, dtype=bool)
     for i in range(d):
         shift = np.zeros(d)
-        shift[i] = h
+        shift[i] = FD_STEP
         cfg_p = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 + shift))
         cfg_m = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 - shift))
-        bp = simulate(p, a_id, cfg_p, max_workers=max_workers, tangent=False)
-        bm = simulate(p, a_id, cfg_m, max_workers=max_workers, tangent=False)
+        bp = simulate(p, a_id, cfg_p, tangent=False)
+        bm = simulate(p, a_id, cfg_m, tangent=False)
         fp = np.asarray(f.value(bp.x_t), dtype=float)
         fm = np.asarray(f.value(bm.x_t), dtype=float)
-        diffs.append((fp - fm) / (2.0 * h))
-        div = bp.divergent | bm.divergent
-        divergent = div if divergent is None else (divergent | div)
-    values = np.stack(diffs, axis=1)
-    carrier = PathBatch(values, None, None, None, divergent, cfg, "plain")
-    return _reduce(values, carrier)
-
-
-def _identity():
-    from .perturbations import identity_perturbation
-
-    return identity_perturbation()
+        diffs.append((fp - fm) / (2.0 * FD_STEP))
+        divergent |= bp.divergent | bm.divergent
+    return _reduce(np.stack(diffs, axis=1), divergent)

@@ -7,9 +7,11 @@ certified constants against empirical entropy/energy ratios.
 Tolerances follow one model throughout: two estimates agree when their
 difference is within k * sigma_combined + c * dt componentwise, where
 sigma_combined is the root-sum-square of the standard errors, k covers
-the Monte Carlo noise (default 3) and c * dt allows for the first-order
-discretization bias of the Euler scheme (default c = 5).  Every report
-records k, c, the sample sizes and the seed.
+the Monte Carlo noise and c * dt allows for the first-order
+discretization bias of the Euler scheme.  k = K_SIGMA = 3 and
+c = C_DT = 5 are constants of the module, not defaults; checks without a
+discretization allowance record c = 0.  Every report records k, c, the
+sample sizes and the seed.
 
 The audit direction is one-sided by construction: a sampled ratio below
 the bound never proves the bound, a ratio above it (beyond noise)
@@ -19,8 +21,8 @@ falsifies it.  Reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -41,6 +43,10 @@ from .sde import (
     simulate,
 )
 
+# k and c of the tolerance model described above
+K_SIGMA = 3.0
+C_DT = 5.0
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -56,7 +62,7 @@ class CheckReport:
     n_paths: int
     dt: float
     seed: int
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 @dataclass(frozen=True)
@@ -68,21 +74,16 @@ class EntropyEstimate:
     dirichlet_stderr: float
     ratio_stderr: float
     n_samples: int
-    degenerate: bool = False
+    degenerate: bool
 
 
-def _within(lhs, rhs, se_l, se_r, k, c, dt):
-    tol = k * np.sqrt(np.asarray(se_l) ** 2 + np.asarray(se_r) ** 2) + c * dt
+def _within(lhs, rhs, se_l, se_r, dt):
+    tol = K_SIGMA * np.sqrt(np.asarray(se_l) ** 2 + np.asarray(se_r) ** 2) + C_DT * dt
     return bool(np.all(np.abs(np.asarray(lhs) - np.asarray(rhs)) <= tol))
 
 
-def _tol_model(k, c):
-    return f"|lhs - rhs| <= {k:g} * sigma_combined + {c:g} * dt componentwise"
-
-
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
-                         cfg: SdeConfig, k: float = 3.0, c_dt: float = 5.0,
-                         fd_step: float = 1e-3) -> CheckReport:
+                         cfg: SdeConfig) -> CheckReport:
     """Three estimators of grad E[f(X_T^x)] at x = x0 must agree pairwise:
 
     (i)   E[J grad f(X_T)] on plain paths,
@@ -95,7 +96,7 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
     est_plain = estimate_expectation(p, a, cfg, payoff_tangent_gradient(f), variant="plain")
     est_pert = estimate_fk_gradient(p, a, f, cfg)
-    est_fd = estimate_gradient_fd(p, cfg, f, h=fd_step)
+    est_fd = estimate_gradient_fd(p, cfg, f)
     dt = cfg.dt_eff
     pairs = {
         "plain_vs_perturbed": (est_plain, est_pert),
@@ -103,14 +104,16 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         "perturbed_vs_fd": (est_pert, est_fd),
     }
     verdicts = {
-        name: _within(e1.mean, e2.mean, e1.std_error, e2.std_error, k, c_dt, dt)
+        name: _within(e1.mean, e2.mean, e1.std_error, e2.std_error, dt)
         for name, (e1, e2) in pairs.items()
     }
     return CheckReport(
         name="representation",
         lhs=est_plain.mean, rhs=est_pert.mean,
         lhs_stderr=est_plain.std_error, rhs_stderr=est_pert.std_error,
-        tolerance_model=_tol_model(k, c_dt), k=k, c_dt=c_dt,
+        tolerance_model=(f"|lhs - rhs| <= {K_SIGMA:g} * sigma_combined + {C_DT:g} * dt "
+                         "componentwise"),
+        k=K_SIGMA, c_dt=C_DT,
         passed=all(verdicts.values()),
         n_paths=cfg.n_paths, dt=dt, seed=cfg.seed,
         details={
@@ -123,8 +126,8 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
 
 
 def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
-                     checkpoints: Sequence[float], k: float = 3.0) -> CheckReport:
-    """E[R_t] = 1 within k standard errors at every checkpoint time."""
+                     checkpoints: Sequence[float]) -> CheckReport:
+    """E[R_t] = 1 within K_SIGMA standard errors at every checkpoint time."""
     g = check_G(a, dim=p.dim)
     if not g.satisfied:
         raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
@@ -138,27 +141,27 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
         r = np.exp(batch.checkpoint_log_weights[t][valid])
         means[t] = float(np.mean(r))
         ses[t] = float(np.std(r, ddof=1) / math.sqrt(r.size))
-        ok = ok and abs(means[t] - 1.0) <= k * ses[t]
+        ok = ok and abs(means[t] - 1.0) <= K_SIGMA * ses[t]
     last = sorted(means)[-1]
     return CheckReport(
         name="martingale",
         lhs=np.asarray(means[last]), rhs=np.asarray(1.0),
         lhs_stderr=np.asarray(ses[last]), rhs_stderr=np.asarray(0.0),
-        tolerance_model=f"|mean(R_t) - 1| <= {k:g} * stderr at each checkpoint",
-        k=k, c_dt=0.0, passed=bool(ok),
+        tolerance_model=f"|mean(R_t) - 1| <= {K_SIGMA:g} * stderr at each checkpoint",
+        k=K_SIGMA, c_dt=0.0, passed=bool(ok),
         n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
         details={"means": means, "stderrs": ses, "n_divergent": batch.n_divergent},
     )
 
 
-def _grid_nondecreasing(fn, lo, hi, n=1000):
-    grid = np.linspace(lo, hi, n)[:, None]
+def _grid_nondecreasing(fn, lo, hi):
+    grid = np.linspace(lo, hi, 1000)[:, None]
     vals = np.asarray(fn(grid), dtype=float)
     return bool(np.all(np.diff(vals) >= -1e-12)), grid, vals
 
 
 def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
-                        cfg: SdeConfig, k: float = 3.0) -> CheckReport:
+                        cfg: SdeConfig) -> CheckReport:
     """One-sided comparison E[f(X_{T,a})] <= E[f(X_T)] for non-decreasing
     positive f in dimension one."""
     if p.dim != 1 or cfg.dim != 1:
@@ -184,13 +187,13 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
                                tangent=False)
     rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain", tangent=False)
     sigma = math.sqrt(float(lhs.std_error) ** 2 + float(rhs.std_error) ** 2)
-    passed = float(lhs.mean) <= float(rhs.mean) + k * sigma
+    passed = float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma
     return CheckReport(
         name="monotone_comparison",
         lhs=lhs.mean, rhs=rhs.mean,
         lhs_stderr=lhs.std_error, rhs_stderr=rhs.std_error,
-        tolerance_model=f"one-sided: lhs <= rhs + {k:g} * sigma_combined",
-        k=k, c_dt=0.0, passed=bool(passed),
+        tolerance_model=f"one-sided: lhs <= rhs + {K_SIGMA:g} * sigma_combined",
+        k=K_SIGMA, c_dt=0.0, passed=bool(passed),
         n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
         details={"f": f.name, "note": a_note},
     )
@@ -214,6 +217,12 @@ def sample_measure(p: Potential, n: int, method: str = "radial_exact",
 
 
 _RADIAL_NODES = 2**14
+# MALA: parallel chains, adaptation steps before collection, steps between
+# collected states, and the acceptance rate the step size adapts toward
+MALA_CHAINS = 64
+MALA_BURN_IN = 10_000
+MALA_THINNING = 10
+MALA_TARGET_ACCEPTANCE = 0.574
 
 
 def _radial_log_density(p: Potential, r: np.ndarray) -> np.ndarray:
@@ -265,9 +274,7 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _sample_mala(p: Potential, n: int, seed: int, n_chains: int = 64,
-                 burn_in: int = 10_000, thinning: int = 10,
-                 target_acceptance: float = 0.574) -> np.ndarray:
+def _sample_mala(p: Potential, n: int, seed: int) -> np.ndarray:
     """Metropolis-adjusted Langevin targeting exp(-V).
 
     Proposal x' = x - tau grad V(x) + sqrt(2 tau) xi; the step tau adapts
@@ -275,33 +282,33 @@ def _sample_mala(p: Potential, n: int, seed: int, n_chains: int = 64,
     """
     gen = rng.stream(seed, rng.TAG_MALA)
     d = p.dim
-    x = gen.standard_normal((n_chains, d)) * 0.5
+    x = gen.standard_normal((MALA_CHAINS, d)) * 0.5
     v = np.asarray(p.value(x), dtype=float)
     g = np.asarray(p.gradient(x), dtype=float)
     log_tau = math.log(0.1)
-    per_chain = -(-n // n_chains)  # ceil
-    out = np.empty((per_chain * n_chains, d))
+    per_chain = -(-n // MALA_CHAINS)  # ceil
+    out = np.empty((per_chain * MALA_CHAINS, d))
     collected = 0
-    total_steps = burn_in + per_chain * thinning
+    total_steps = MALA_BURN_IN + per_chain * MALA_THINNING
     for step in range(total_steps):
         tau = math.exp(log_tau)
-        xi = gen.standard_normal((n_chains, d))
+        xi = gen.standard_normal((MALA_CHAINS, d))
         prop = x - tau * g + math.sqrt(2.0 * tau) * xi
         v_prop = np.asarray(p.value(prop), dtype=float)
         g_prop = np.asarray(p.gradient(prop), dtype=float)
         fwd = np.sum((prop - x + tau * g) ** 2, axis=1)
         bwd = np.sum((x - prop + tau * g_prop) ** 2, axis=1)
         log_alpha = v - v_prop + (fwd - bwd) / (4.0 * tau)
-        accept = np.log(gen.random(n_chains)) < log_alpha
+        accept = np.log(gen.random(MALA_CHAINS)) < log_alpha
         x = np.where(accept[:, None], prop, x)
         v = np.where(accept, v_prop, v)
         g = np.where(accept[:, None], g_prop, g)
-        if step < burn_in:
+        if step < MALA_BURN_IN:
             rate = float(np.mean(accept))
-            log_tau += (rate - target_acceptance) / math.sqrt(1.0 + step)
-        elif (step - burn_in + 1) % thinning == 0:
-            out[collected:collected + n_chains] = x
-            collected += n_chains
+            log_tau += (rate - MALA_TARGET_ACCEPTANCE) / math.sqrt(1.0 + step)
+        elif (step - MALA_BURN_IN + 1) % MALA_THINNING == 0:
+            out[collected:collected + MALA_CHAINS] = x
+            collected += MALA_CHAINS
     return out[:n]
 
 
@@ -393,9 +400,9 @@ def builtin_test_family(dim: int) -> list:
 
 
 def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
-              family: Optional[list] = None, k: float = 3.0,
               seed: int = 0) -> CheckReport:
-    """One-sided falsification audit of a bound report.
+    """One-sided falsification audit of a bound report over
+    :func:`builtin_test_family`.
 
     Fails when some test function's empirical ratio exceeds the certified
     constant beyond noise; passing certifies nothing.
@@ -403,24 +410,23 @@ def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
     if not bound.valid:
         raise PreconditionError("bound.valid", "cannot audit an invalid bound")
     samples = np.asarray(samples, dtype=float)
-    fns = family if family is not None else builtin_test_family(samples.shape[1])
     worst_name, worst_ratio, worst_se = "", -math.inf, 0.0
     ratios = {}
-    for f in fns:
+    for f in builtin_test_family(samples.shape[1]):
         est = entropy_ratio(p, f, samples, seed=seed)
         if est.degenerate:
             continue
         ratios[f.name] = (est.ratio, est.ratio_stderr)
         if est.ratio > worst_ratio:
             worst_name, worst_ratio, worst_se = f.name, est.ratio, est.ratio_stderr
-    passed = worst_ratio <= bound.constant + k * worst_se
+    passed = worst_ratio <= bound.constant + K_SIGMA * worst_se
     return CheckReport(
         name="lsi_audit",
         lhs=np.asarray(worst_ratio), rhs=np.asarray(bound.constant),
         lhs_stderr=np.asarray(worst_se), rhs_stderr=np.asarray(0.0),
-        tolerance_model=f"one-sided: max ratio <= bound + {k:g} * stderr; "
+        tolerance_model=f"one-sided: max ratio <= bound + {K_SIGMA:g} * stderr; "
                         "the audit can falsify, never certify",
-        k=k, c_dt=0.0, passed=bool(passed),
+        k=K_SIGMA, c_dt=0.0, passed=bool(passed),
         n_paths=samples.shape[0], dt=0.0, seed=seed,
         details={"worst_function": worst_name, "ratios": ratios,
                  "bound_method": bound.method},

@@ -116,6 +116,23 @@ def test_bound_bad_potential_exits_one(capsys):
     assert "alpha" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv, token", [
+    (("bound", "--potential", "family=gaussian rho=abc dim=1",
+      "--perturbation", "perturbation=identity"), "rho=abc"),
+    (("bound", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=arctan eps=x"), "eps=x"),
+    (("simulate", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--x0", "abc", "--paths", "10"), "abc"),
+])
+def test_malformed_number_exits_one_with_manifest(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "\n" not in err.strip()
+    error = json.loads(err)["error"]
+    assert error.startswith("ParameterError") and token in error
+
+
 # --- certify -------------------------------------------------------------------
 
 def test_certify_negative_verdict_exits_zero(capsys):

@@ -213,14 +213,14 @@ def test_constant_function_gradient_is_zero_vector():
     cfg = SdeConfig(dt=0.01, horizon=0.2, n_paths=200, seed=23, x0=(0.1, 0.0))
     est = estimate_fk_gradient(p, arctan_perturbation(0.3), CONST, cfg)
     assert np.all(est.mean == 0.0)
-    fd = estimate_gradient_fd(p, cfg, CONST, h=1e-3)
+    fd = estimate_gradient_fd(p, cfg, CONST)
     assert np.all(fd.mean == 0.0)
 
 
 def test_gradient_fd_gaussian_linear():
     p = make_potential("gaussian", 2, rho=1.0)
     cfg = SdeConfig(dt=1e-3, horizon=1.0, n_paths=2_000, seed=29, x0=(0.0, 0.0))
-    est = estimate_gradient_fd(p, cfg, LINEAR, h=1e-3)
+    est = estimate_gradient_fd(p, cfg, LINEAR)
     target = math.exp(-1.0) * np.array([0.8, -0.6])
     # common random numbers make this estimator nearly deterministic for OU
     assert np.all(np.abs(est.mean - target) <= 3 * est.std_error + 5 * cfg.dt_eff)
