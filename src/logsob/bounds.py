@@ -33,7 +33,7 @@ from .curvature import (  # certify_* stay importable here for perfbench/tracing
     kappa_tilde,
 )
 from .errors import ParameterError
-from .perturbations import Perturbation, arctan_perturbation, check_G
+from .perturbations import Perturbation, arctan_perturbation, check_G, tilted_hess_split
 from .potentials import Potential, make_potential
 from .threads import worker_count
 
@@ -194,12 +194,8 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
         rho_a = p.hessian_lower_bound
         heur = False
         detail = f"rho_a = {rho_a:.12g} (exact, V_a = V)"
-    elif (p.is_radial and p.radial_hess_split is not None
-          and a.is_radial and a.radial_hess_log_a2_split is not None):
-        ap, bp = p.radial_hess_split(_HS_GRID_T)
-        aa, ba = a.radial_hess_log_a2_split(_HS_GRID_T)
-        a_tot = np.asarray(ap) + np.asarray(aa)
-        b_tot = np.asarray(bp) + np.asarray(ba)
+    elif p.radial is not None and a.radial is not None:
+        a_tot, b_tot = tilted_hess_split(p, a, _HS_GRID_T)
         radial_eig = a_tot * _HS_GRID_T + b_tot
         rho_a = float(np.min(radial_eig)) if p.dim == 1 else float(min(np.min(radial_eig), np.min(b_tot)))
         heur = True

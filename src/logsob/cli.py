@@ -33,7 +33,7 @@ from .bounds import (
     optimize_epsilon,
 )
 from .curvature import certify_double_well, certify_quadric
-from .errors import EstimationError, ParameterError, PreconditionError
+from .errors import EstimationError, EvaluationError, ParameterError, PreconditionError
 from .perturbations import parse_perturbation
 from .potentials import parse_potential
 from .sde import SdeConfig, SmoothFunction, simulate
@@ -400,7 +400,7 @@ def main(argv: Optional[list] = None) -> int:
     outputs = []
     try:
         text, passed = _COMMANDS[args.command](args)
-    except (ParameterError, PreconditionError, EstimationError) as exc:
+    except (ParameterError, PreconditionError, EstimationError, EvaluationError) as exc:
         manifest["finished"] = time.time()
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["outputs"] = outputs

@@ -11,11 +11,15 @@ infimum yields entropy decay bounds (see :mod:`logsob.bounds`).
 
 For radial potentials and perturbations both terms depend on x only
 through t = |x|^2, so the d-dimensional infimum collapses to a scan of
-[0, infinity) on a logarithmic grid followed by golden-section refinement.
-The reduction is spot-checked against rotated full-dimensional evaluations
-rather than assumed.  Non-radial inputs fall back to multi-start local
-descent from a deterministic Sobol point set; such reports are never
-certified.
+[0, infinity) on a logarithmic grid followed by golden-section refinement,
+evaluated from the closed forms in t (``Potential.radial``,
+``Perturbation.radial``).  A built-in's evaluators on x derive from the
+same closed forms, so rotation invariance holds by construction; the
+closed forms still written by hand (the eigenvalue floor, lap a / a) are
+checked against the point evaluators at three radii before each search,
+and a disagreement raises :class:`~logsob.errors.EvaluationError`.
+Non-radial inputs fall back to multi-start local descent from a
+deterministic Sobol point set; such reports are never certified.
 
 For the quartic family V = |x|^4/4 (and its double-well tilt) with the
 bounded perturbation a = exp((eps/2) arctan |x|^2), the statement "the
@@ -45,7 +49,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, psi, psi_radial
 from .potentials import Potential, jacobi_eigenvalues
 from .threads import worker_count
@@ -96,7 +100,7 @@ class Certificate:
 
 
 def _radial_objective(p: Potential, a: Perturbation, t: np.ndarray, weight: float) -> np.ndarray:
-    return weight * np.asarray(p.radial_rho_minus(t), dtype=float) + psi_radial(a, p, t)
+    return weight * np.asarray(p.radial.rho_minus(t), dtype=float) + psi_radial(a, p, t)
 
 
 def _point_objective(p: Potential, a: Perturbation, x: np.ndarray, weight: float) -> float:
@@ -105,21 +109,19 @@ def _point_objective(p: Potential, a: Perturbation, x: np.ndarray, weight: float
     return weight * lo + float(psi(a, p, x))
 
 
-def _assert_rotation_invariance(p, a, weight):
-    """Spot check that the objective really is a function of |x| alone."""
-    rng = np.random.default_rng(20240817)
-    for radius in (0.5, 1.3, 3.7):
-        x0 = np.zeros(p.dim)
-        x0[0] = radius
-        base = _point_objective(p, a, x0, weight)
-        for _ in range(2):
-            q, _ = np.linalg.qr(rng.normal(size=(p.dim, p.dim)))
-            rotated = _point_objective(p, a, q @ x0, weight)
-            if abs(rotated - base) > 1e-9 * max(1.0, abs(base)):
-                raise AssertionError(
-                    "radial reduction invalid: objective not rotation invariant "
-                    f"(deviation {abs(rotated - base):.3e} at radius {radius})"
-                )
+def _check_radial_reduction(p, a, weight):
+    """The closed forms in t must agree with the point evaluators: the
+    radial objective at t = r^2 against the full one at (r, 0, ..., 0)."""
+    radii = (0.5, 1.3, 3.7)
+    closed = _radial_objective(p, a, np.square(radii), weight)
+    for radius, c in zip(radii, closed):
+        x = np.zeros(p.dim)
+        x[0] = radius
+        point = _point_objective(p, a, x, weight)
+        if not abs(c - point) <= 1e-9 * max(1.0, abs(point)):
+            raise EvaluationError(
+                "radial reduction invalid: closed forms give %.12g, point evaluators %.12g "
+                "at radius %g" % (c, point, radius), point=x)
 
 
 def _golden_refine(f, lo, hi, tol):
@@ -228,13 +230,13 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
     cfg = cfg or SearchConfig()
     if a.family == "identity" and p.family in ("gaussian", "subbotin", "double_well"):
         # the radial eigenvalue floor of the built-ins sits at t = 0
-        value = weight * float(p.radial_rho_minus(0.0))
+        value = weight * float(p.radial.rho_minus(0.0))
         return CurvatureReport(
             kind=kind, value=value, argmin=0.0, method="radial_closed_form", certified=True,
             details={"note": "identity perturbation, built-in eigenvalue floor at t=0"},
         )
     # the certificate needs no radial reduction, so it runs before the
-    # rotation spot check that guards the grid
+    # check of the closed forms that guards the grid
     cert = _quartic_certificate(p, a) if kind == "kappa" else None
     if cert is not None and cert.valid:
         return CurvatureReport(
@@ -242,9 +244,9 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
             certified=True,
             details={"roots": cert.roots_found, "grid_min": cert.details["grid_min"]},
         )
-    if p.is_radial and a.is_radial and p.radial_grad_coeff is not None:
-        if p.dim > 1 and p.family != "custom":
-            _assert_rotation_invariance(p, a, weight)
+    if p.radial is not None and a.radial is not None:
+        if p.family != "custom":
+            _check_radial_reduction(p, a, weight)
         rep = _radial_search(p, a, weight, cfg)
     else:
         rep = _multistart_search(p, a, weight, cfg)

@@ -6,7 +6,8 @@ class ParameterError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """A pointwise evaluation produced a non-finite intermediate.
+    """A pointwise evaluation produced a non-finite intermediate, or
+    disagrees with the closed form it must equal.
 
     Carries the offending point in ``point``.
     """

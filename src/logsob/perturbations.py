@@ -21,20 +21,26 @@ For arctan, with t = |x|^2:
     lap_over_a    = eps (d + (d-4) t^2) / (1+t^2)^2 + eps^2 t / (1+t^2)^2
     sup |log_grad| = eps 3^(3/4) / 4   (attained at t = 1/sqrt(3))
 
-Custom perturbations supply value, gradient and Laplacian callables; their
-norms fall back to grid estimates flagged non-exact.
+eps must lie in (0, 903.7), where sup a is a finite double.
+
+Each built-in states its closed forms in t once, as a :class:`RadialTilt`;
+its evaluators on x derive from them, and the radial curvature search and
+the (BM) and Holley-Stroock checks read them directly.  Custom
+perturbations supply value, gradient and Laplacian callables; their norms
+fall back to grid estimates flagged non-exact.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .potentials import Potential
+from .potentials import Potential, _sqnorm
 
 Array = np.ndarray
 
@@ -65,13 +71,24 @@ class ConditionReport:
 
 
 @dataclass(frozen=True)
+class RadialTilt:
+    """Closed forms of a radial perturbation in t = |x|^2: a = value(t),
+    grad a / a = log_grad_coeff(t) x, (Laplacian a) / a = lap_over_a(t, d)
+    in dimension d, and hess(log a^2) = A x x^T + B I with (A, B) =
+    hess_log_a2_split(t)."""
+
+    value: Callable[[Array], Array]
+    log_grad_coeff: Callable[[Array], Array]
+    lap_over_a: Callable[[Array, int], Array]
+    hess_log_a2_split: Callable[[Array], tuple]
+
+
+@dataclass(frozen=True)
 class Perturbation:
     """Immutable perturbation with derived-field evaluators.
 
-    Evaluators accept (..., dim)-shaped points.  ``radial_log_grad_coeff``
-    is lam(t) with grad a / a = lam(t) x, and ``radial_hess_log_a2_split``
-    gives (A, B) with hess(log a^2) = A x x^T + B I; both exist for the
-    radial built-ins.
+    Evaluators accept (..., dim)-shaped points.  ``radial`` holds the
+    closed forms in t = |x|^2 of the radial built-ins.
     """
 
     family: str
@@ -82,89 +99,62 @@ class Perturbation:
     sup_a: Norm
     sup_a_inv: Norm
     sup_log_grad: Norm
-    is_radial: bool = False
+    radial: Optional[RadialTilt] = None
     nondecreasing_radial: bool = False
-    radial_log_grad_coeff: Optional[Callable[[Array], Array]] = None
-    radial_lap_over_a: Optional[Callable[[Array, int], Array]] = None
-    radial_hess_log_a2_split: Optional[Callable[[Array], tuple]] = None
+
+
+def _radial_perturbation(family: str, params: dict, tilt: RadialTilt, sup_a: float,
+                         sup_log_grad: float) -> Perturbation:
+    """A built-in, non-decreasing in |x| with inf a = 1, whose evaluators on
+    x derive from its closed forms."""
+
+    def log_grad(x):
+        x = np.asarray(x, dtype=float)
+        return tilt.log_grad_coeff(_sqnorm(x))[..., None] * x
+
+    def lap_over_a(x):
+        x = np.asarray(x, dtype=float)
+        return tilt.lap_over_a(_sqnorm(x), x.shape[-1])
+
+    return Perturbation(family, params, lambda x: tilt.value(_sqnorm(x)), log_grad, lap_over_a,
+                        Norm(sup_a, True), Norm(1.0, True), Norm(sup_log_grad, True), tilt, True)
 
 
 def identity_perturbation() -> Perturbation:
-    def value(x):
-        return np.ones(np.shape(x)[:-1])
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
 
-    def log_grad(x):
-        return np.zeros(np.shape(x))
+    return _radial_perturbation("identity", {}, RadialTilt(
+        lambda t: np.ones_like(np.asarray(t, dtype=float)), zero, lambda t, d: zero(t),
+        lambda t: (zero(t), zero(t))), 1.0, 0.0)
 
-    def lap_over_a(x):
-        return np.zeros(np.shape(x)[:-1])
 
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return Perturbation(
-        family="identity",
-        params={},
-        value=value,
-        log_grad=log_grad,
-        lap_over_a=lap_over_a,
-        sup_a=Norm(1.0, True),
-        sup_a_inv=Norm(1.0, True),
-        sup_log_grad=Norm(0.0, True),
-        is_radial=True,
-        nondecreasing_radial=True,
-        radial_log_grad_coeff=zero,
-        radial_lap_over_a=lambda t, d: np.zeros_like(np.asarray(t, dtype=float)),
-        radial_hess_log_a2_split=lambda t: (zero(t), zero(t)),
-    )
+# the largest eps whose sup a = exp(eps pi / 4) is a finite double
+ARCTAN_EPS_MAX = 4.0 * math.log(sys.float_info.max) / math.pi
 
 
 def arctan_perturbation(eps: float) -> Perturbation:
-    if not eps > 0:
-        raise ParameterError("arctan perturbation requires eps > 0 (got %g)" % eps)
-
-    def value(x):
-        t = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
-        return np.exp(0.5 * eps * np.arctan(t))
-
-    def log_grad(x):
-        x = np.asarray(x, dtype=float)
-        t = np.sum(x**2, axis=-1)
-        return (eps / (1.0 + t * t))[..., None] * x
-
-    def lap_over_a(x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        t = np.sum(x**2, axis=-1)
-        return _lap_over_a_radial(t, d)
-
-    def _lap_over_a_radial(t, d):
-        t = np.asarray(t, dtype=float)
-        denom = (1.0 + t * t) ** 2
-        return eps * (d + (d - 4.0) * t * t) / denom + eps * eps * t / denom
+    if not 0 < eps < ARCTAN_EPS_MAX:
+        raise ParameterError("arctan perturbation requires 0 < eps < %.7g, so that sup a is "
+                             "finite (got %g)" % (ARCTAN_EPS_MAX, eps))
 
     def lam(t):
         t = np.asarray(t, dtype=float)
         return eps / (1.0 + t * t)
+
+    def lap_over_a(t, d):
+        t = np.asarray(t, dtype=float)
+        denom = (1.0 + t * t) ** 2
+        return eps * (d + (d - 4.0) * t * t) / denom + eps * eps * t / denom
 
     def hess_split(t):
         # hess(log a^2) = 2 eps [I/(1+t^2) - 4 t x x^T/(1+t^2)^2]
         t = np.asarray(t, dtype=float)
         return (-8.0 * eps * t / (1.0 + t * t) ** 2, 2.0 * eps / (1.0 + t * t))
 
-    return Perturbation(
-        family="arctan",
-        params={"eps": float(eps)},
-        value=value,
-        log_grad=log_grad,
-        lap_over_a=lap_over_a,
-        sup_a=Norm(math.exp(eps * math.pi / 4.0), True),
-        sup_a_inv=Norm(1.0, True),
-        sup_log_grad=Norm(eps * 3.0 ** 0.75 / 4.0, True),
-        is_radial=True,
-        nondecreasing_radial=True,
-        radial_log_grad_coeff=lam,
-        radial_lap_over_a=_lap_over_a_radial,
-        radial_hess_log_a2_split=hess_split,
-    )
+    return _radial_perturbation("arctan", {"eps": float(eps)}, RadialTilt(
+        lambda t: np.exp(0.5 * eps * np.arctan(t)), lam, lap_over_a, hess_split),
+        math.exp(eps * math.pi / 4.0), eps * 3.0 ** 0.75 / 4.0)
 
 
 def make_custom_perturbation(
@@ -253,13 +243,23 @@ def psi_radial(a: Perturbation, p: Potential, t: Array) -> Array:
     """psi as a function of t = |x|^2 for a radial potential/perturbation pair."""
     if a.family == "identity":
         return np.zeros_like(np.asarray(t, dtype=float))
-    if not (a.is_radial and p.is_radial and a.radial_log_grad_coeff is not None):
+    if a.radial is None or p.radial is None:
         raise ParameterError("psi_radial requires a radial potential and perturbation")
     t = np.asarray(t, dtype=float)
-    lam = a.radial_log_grad_coeff(t)
-    lap = a.radial_lap_over_a(t, p.dim)
-    v = p.radial_grad_coeff(t)
+    lam = a.radial.log_grad_coeff(t)
+    lap = a.radial.lap_over_a(t, p.dim)
+    v = p.radial.grad_coeff(t)
     return lap - 2.0 * lam * lam * t - v * lam * t
+
+
+def tilted_hess_split(p: Potential, a: Perturbation, t: Array) -> tuple:
+    """(A, B) with hess V_a = A x x^T + B I at |x|^2 = t, V_a = V + log a^2."""
+    if a.radial is None or p.radial is None:
+        raise ParameterError("the split of hess V_a requires a radial potential and perturbation")
+    ap, bp = p.radial.hess_split(t)
+    aa, ba = a.radial.hess_log_a2_split(t)
+    return (np.asarray(ap, dtype=float) + np.asarray(aa, dtype=float),
+            np.asarray(bp, dtype=float) + np.asarray(ba, dtype=float))
 
 
 # --- admissibility conditions --------------------------------------------
@@ -306,39 +306,37 @@ def check_BM(a: Perturbation, p: Potential) -> ConditionReport:
 
     Condition (1): off-diagonal entries of hess(V_a) nonpositive (vacuous
     in d = 1).  Condition (2): row sums of hess(V_a) bounded above; in
-    d = 1 this is the second derivative of V_a.  Verdicts in d > 1 are
-    grid checks flagged heuristic.
+    d = 1 this is the second derivative of V_a.  ``sup`` is the grid sup
+    of the largest row sum.  Verdicts are grid checks flagged heuristic.
     """
     d = p.dim
     t = _NORM_GRID_T
-    if not (p.is_radial and p.radial_hess_split is not None and a.is_radial
-            and a.radial_hess_log_a2_split is not None):
-        raise ParameterError("check_BM supports radial potential/perturbation pairs")
-    ap, bp = p.radial_hess_split(t)
-    aa, ba = a.radial_hess_log_a2_split(t)
-    a_tot = np.asarray(ap, dtype=float) + np.asarray(aa, dtype=float)
-    b_tot = np.asarray(bp, dtype=float) + np.asarray(ba, dtype=float)
+    a_tot, b_tot = tilted_hess_split(p, a, t)
 
     if d == 1:
-        second = a_tot * t + b_tot
-        sup = float(np.max(second))
-        tail_growing = second[-1] >= 0.999 * sup and second[-1] > second[t.size // 2]
-        ok = not tail_growing
+        row = a_tot * t + b_tot
         detail = "condition (1) vacuous in d=1; sup of (V_a)'' over grid reported"
-        if tail_growing:
-            detail += "; still increasing at the grid edge, treated as unbounded above"
-        return ConditionReport("(BM)", ok, sup, False, True, detail)
-
-    # off-diagonal of hess(V_a) at |x|^2 = t maximized over directions:
-    # entries are A(t) x_i x_j with max x_i x_j = t/2
-    off_max = np.max(a_tot * t / 2.0)
-    worst = float(off_max)
-    ok = off_max <= 1e-12
-    detail = "worst off-diagonal of hess(V_a) over grid: %.6g" % worst
-    if not ok:
-        idx = int(np.argmax(a_tot * t / 2.0))
-        detail += " (violated at t = %.6g)" % float(t[idx])
-    return ConditionReport("(BM)", bool(ok), worst, False, True, detail)
+        off_ok = True
+    else:
+        # with hess(V_a) = A x x^T + B I at |x|^2 = t, the entries off the
+        # diagonal are A x_i x_j, at most A t / 2, and row i sums to
+        # B + A x_i sum_j x_j, where x_i sum_j x_j ranges over
+        # t [(1 - sqrt d) / 2, (1 + sqrt d) / 2]
+        off = a_tot * t / 2.0
+        worst = float(np.max(off))
+        off_ok = worst <= 1e-12
+        detail = "condition (1): worst off-diagonal of hess(V_a) over grid: %.6g" % worst
+        if not off_ok:
+            detail += " (violated at t = %.6g)" % float(t[int(np.argmax(off))])
+        half_root = math.sqrt(d) / 2.0
+        row = b_tot + t * np.where(a_tot >= 0, a_tot * (0.5 + half_root),
+                                   a_tot * (0.5 - half_root))
+        detail += "; condition (2): sup of the largest row sum over grid reported"
+    sup = float(np.max(row))
+    tail_growing = row[-1] >= 0.999 * sup and row[-1] > row[t.size // 2]
+    if tail_growing:
+        detail += "; still increasing at the grid edge, treated as unbounded above"
+    return ConditionReport("(BM)", off_ok and not tail_growing, sup, False, True, detail)
 
 
 # --- text config parsing --------------------------------------------------

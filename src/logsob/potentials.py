@@ -8,18 +8,21 @@ are radial:
     subbotin(alpha):    V(x) = |x|^alpha / alpha,  alpha > 2
     double_well(beta):  V(x) = |x|^4 / 4 - beta |x|^2 / 2,  beta in (0, 1/2)
 
-Built-ins carry exact gradient and Hessian evaluators plus closed-form
-spectral data in the squared radius t = |x|^2.  The Hessian of a radial
-family splits as H(x) = A(t) x x^T + B(t) I, so its eigenvalues are
-B(t) (tangential, multiplicity d-1, absent when d = 1) and A(t) t + B(t)
-(radial).  Custom potentials are supplied as plain callables; no symbolic
-differentiation is attempted.
+Each built-in states its closed forms in the squared radius t = |x|^2
+once, as a :class:`Radial`: V, the gradient factor c with grad V = c x, the
+Hessian split H(x) = A(t) x x^T + B(t) I and the smallest eigenvalue.  The
+eigenvalues of the split are B(t) (tangential, multiplicity d-1, absent
+when d = 1) and A(t) t + B(t) (radial).  The evaluators on x and the
+eigenvalue floor derive from the profile, except that the Gaussian keeps
+its own cheaper one-line evaluators.  Parameters must be finite.  Custom
+potentials are supplied as plain callables; no symbolic differentiation
+is attempted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,13 +43,25 @@ def jacobi_eigenvalues(matrix: Array) -> Array:
 
 
 @dataclass(frozen=True)
+class Radial:
+    """Closed forms of a radial potential in t = |x|^2: V = value(t),
+    grad V = grad_coeff(t) x, hess V = A x x^T + B I with (A, B) =
+    hess_split(t), and the smallest Hessian eigenvalue rho_minus(t)."""
+
+    value: Callable[[Array], Array]
+    grad_coeff: Callable[[Array], Array]
+    hess_split: Callable[[Array], tuple]
+    rho_minus: Callable[[Array], Array]
+
+
+@dataclass(frozen=True)
 class Potential:
     """Immutable potential with derivative evaluators.
 
     Evaluators accept arrays of shape (..., dim) and broadcast over the
     leading axes; they are pure functions and safe for concurrent use.
-    ``radial_*`` fields are closed forms in t = |x|^2, present for the
-    radial built-ins (and optionally for radial customs).
+    ``radial`` holds the closed forms in t = |x|^2 of the radial built-ins
+    (and optionally of radial customs).
     """
 
     dim: int
@@ -55,10 +70,7 @@ class Potential:
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
-    is_radial: bool = False
-    radial_rho_minus: Optional[Callable[[Array], Array]] = None
-    radial_grad_coeff: Optional[Callable[[Array], Array]] = None
-    radial_hess_split: Optional[Callable[[Array], tuple]] = None
+    radial: Optional[Radial] = None
     hessian_lower_bound: float = field(default=-math.inf)
     hessian_lower_bound_exact: bool = False
 
@@ -71,146 +83,88 @@ def _sqnorm(x: Array) -> Array:
     return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
 
 
-def _eye_like(x: Array, dim: int) -> Array:
-    shape = np.shape(x)[:-1] + (dim, dim)
-    return np.broadcast_to(np.eye(dim), shape).copy()
+def _eye(x: Array, dim: int) -> Array:
+    return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim))
 
 
-def _outer(x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    return x[..., :, None] * x[..., None, :]
+def _radial_potential(family: str, params: dict, dim: int, radial: Radial) -> Potential:
+    """A built-in whose evaluators on x and exact eigenvalue floor (at
+    t = 0 for every built-in) derive from its closed forms."""
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return radial.grad_coeff(_sqnorm(x))[..., None] * x
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        a_coef, b_coef = radial.hess_split(_sqnorm(x))
+        # in place, so that at most two (..., dim, dim) arrays are alive
+        h = x[..., :, None] * x[..., None, :]
+        h *= a_coef[..., None, None]
+        h += b_coef[..., None, None] * _eye(x, dim)
+        return h
+
+    return Potential(dim, family, params, lambda x: radial.value(_sqnorm(x)), gradient,
+                     hessian, radial, float(radial.rho_minus(0.0)), True)
 
 
 def _gaussian(rho: float, dim: int) -> Potential:
-    if not rho > 0:
-        raise ParameterError("gaussian requires rho > 0 (got %g)" % rho)
+    if not 0 < rho < math.inf:
+        raise ParameterError("gaussian requires finite rho > 0 (got %g)" % rho)
 
-    def value(x):
-        return 0.5 * rho * _sqnorm(x)
+    def const(t):
+        return np.full_like(np.asarray(t, dtype=float), rho)
 
-    def gradient(x):
-        return rho * np.asarray(x, dtype=float)
-
-    def hessian(x):
-        return rho * _eye_like(x, dim)
-
-    return Potential(
-        dim=dim,
-        family="gaussian",
-        params={"rho": float(rho)},
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        is_radial=True,
-        radial_rho_minus=lambda t: np.full_like(np.asarray(t, dtype=float), rho),
-        radial_grad_coeff=lambda t: np.full_like(np.asarray(t, dtype=float), rho),
-        radial_hess_split=lambda t: (
-            np.zeros_like(np.asarray(t, dtype=float)),
-            np.full_like(np.asarray(t, dtype=float), rho),
-        ),
-        hessian_lower_bound=float(rho),
-        hessian_lower_bound_exact=True,
-    )
+    p = _radial_potential("gaussian", {"rho": float(rho)}, dim, Radial(
+        lambda t: 0.5 * rho * np.asarray(t, dtype=float), const,
+        lambda t: (np.zeros_like(np.asarray(t, dtype=float)), const(t)), const))
+    # one-line evaluators of its own: the derived ones cost many times more
+    # per call, and the SDE step calls them on every path block
+    return replace(p, gradient=lambda x: rho * np.asarray(x, dtype=float),
+                   hessian=lambda x: rho * _eye(x, dim))
 
 
 def _subbotin(alpha: float, dim: int) -> Potential:
-    if not alpha > 2:
-        raise ParameterError("subbotin requires alpha > 2 (got %g)" % alpha)
+    if not 2 < alpha < math.inf:
+        raise ParameterError("subbotin requires finite alpha > 2 (got %g)" % alpha)
     half = alpha / 2.0
 
-    def value(x):
-        return _sqnorm(x) ** half / alpha
-
-    def grad(x):
-        # |x|^(alpha-2) x, with the 0^negative power masked at the origin
-        x = np.asarray(x, dtype=float)
-        t = _sqnorm(x)
-        safe_t = np.where(t > 0, t, 1.0)
-        coeff = np.where(t > 0, safe_t ** (half - 1.0), 0.0)
-        return coeff[..., None] * x
-
-    def hessian(x):
-        # (alpha-2)|x|^(alpha-4) x x^T + |x|^(alpha-2) I, vanishing at 0
-        x = np.asarray(x, dtype=float)
-        t = _sqnorm(x)
-        safe_t = np.where(t > 0, t, 1.0)
-        a_coef = np.where(t > 0, (alpha - 2.0) * safe_t ** (half - 2.0), 0.0)
-        b_coef = np.where(t > 0, safe_t ** (half - 1.0), 0.0)
-        return a_coef[..., None, None] * _outer(x) + b_coef[..., None, None] * _eye_like(x, dim)
+    def power(t, k):
+        # t^k with the 0^negative power masked at the origin
+        return np.where(t > 0, np.where(t > 0, t, 1.0) ** k, 0.0)
 
     def grad_coeff(t):
-        # |x|^(alpha-2) as a function of t = |x|^2
-        t = np.asarray(t, dtype=float)
-        safe_t = np.where(t > 0, t, 1.0)
-        return np.where(t > 0, safe_t ** (half - 1.0), 0.0)
+        return power(np.asarray(t, dtype=float), half - 1.0)  # |x|^(alpha-2)
 
-    def rho_minus_radial(t):
+    def rho_minus(t):
         # tangential eigenvalue for d >= 2; in d = 1 only V'' exists
         tang = grad_coeff(t)
         return (alpha - 1.0) * tang if dim == 1 else tang
 
-    def hess_split(t):
-        t = np.asarray(t, dtype=float)
-        safe_t = np.where(t > 0, t, 1.0)
-        return (
-            np.where(t > 0, (alpha - 2.0) * safe_t ** (half - 2.0), 0.0),
-            np.where(t > 0, safe_t ** (half - 1.0), 0.0),
-        )
-
-    return Potential(
-        dim=dim,
-        family="subbotin",
-        params={"alpha": float(alpha)},
-        value=value,
-        gradient=grad,
-        hessian=hessian,
-        is_radial=True,
-        radial_rho_minus=rho_minus_radial,
-        radial_grad_coeff=grad_coeff,
-        radial_hess_split=hess_split,
-        hessian_lower_bound=0.0,
-        hessian_lower_bound_exact=True,
-    )
+    return _radial_potential("subbotin", {"alpha": float(alpha)}, dim, Radial(
+        lambda t: np.asarray(t, dtype=float) ** half / alpha, grad_coeff,
+        lambda t: ((alpha - 2.0) * power(np.asarray(t, dtype=float), half - 2.0), grad_coeff(t)),
+        rho_minus))
 
 
 def _double_well(beta: float, dim: int) -> Potential:
     if not 0 < beta < 0.5:
         raise ParameterError("double_well requires beta in (0, 1/2) (got %g)" % beta)
 
-    def value(x):
-        t = _sqnorm(x)
+    def value(t):
+        t = np.asarray(t, dtype=float)
         return 0.25 * t * t - 0.5 * beta * t
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return (_sqnorm(x) - beta)[..., None] * x
+    def grad_coeff(t):
+        return np.asarray(t, dtype=float) - beta
 
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        t = _sqnorm(x)
-        return 2.0 * _outer(x) + (t - beta)[..., None, None] * _eye_like(x, dim)
-
-    def rho_minus_radial(t):
+    def rho_minus(t):
         t = np.asarray(t, dtype=float)
         return 3.0 * t - beta if dim == 1 else t - beta
 
-    return Potential(
-        dim=dim,
-        family="double_well",
-        params={"beta": float(beta)},
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        is_radial=True,
-        radial_rho_minus=rho_minus_radial,
-        radial_grad_coeff=lambda t: np.asarray(t, dtype=float) - beta,
-        radial_hess_split=lambda t: (
-            np.full_like(np.asarray(t, dtype=float), 2.0),
-            np.asarray(t, dtype=float) - beta,
-        ),
-        hessian_lower_bound=-float(beta),
-        hessian_lower_bound_exact=True,
-    )
+    return _radial_potential("double_well", {"beta": float(beta)}, dim, Radial(
+        value, grad_coeff,
+        lambda t: (np.full_like(np.asarray(t, dtype=float), 2.0), grad_coeff(t)), rho_minus))
 
 
 def _vectorize_point_fn(fn):
@@ -235,14 +189,14 @@ def make_custom_potential(
     gradient: Callable,
     hessian: Callable,
     vectorized: bool = True,
-    radial_rho_minus: Optional[Callable] = None,
+    radial: Optional[Radial] = None,
 ) -> Potential:
     """Wrap user callables (value, gradient, Hessian) as a Potential.
 
     The Hessian lower bound used by the non-explosion flag is estimated on
     a fixed radial probe grid along the axes and is not certified.
-    ``radial_rho_minus`` may be supplied when the callables are known to be
-    radially symmetric.
+    ``radial`` may be supplied when the callables are known to be radially
+    symmetric; its closed forms are taken as given.
     """
     if dim < 1:
         raise ParameterError("dim must be a positive integer (got %r)" % (dim,))
@@ -266,8 +220,7 @@ def make_custom_potential(
         value=value,
         gradient=gradient,
         hessian=hessian,
-        is_radial=radial_rho_minus is not None,
-        radial_rho_minus=radial_rho_minus,
+        radial=radial,
         hessian_lower_bound=floor,
         hessian_lower_bound_exact=False,
     )
@@ -295,8 +248,8 @@ def rho_minus(p: Potential, x: Array) -> float:
         raise ParameterError("x must have shape (%d,)" % p.dim)
     if not np.all(np.isfinite(x)):
         raise EvaluationError("rho_minus called with non-finite point", point=x)
-    if p.radial_rho_minus is not None:
-        return float(p.radial_rho_minus(float(np.dot(x, x))))
+    if p.radial is not None:
+        return float(p.radial.rho_minus(float(np.dot(x, x))))
     h = np.asarray(p.hessian(x), dtype=float)
     if not np.all(np.isfinite(h)):
         raise EvaluationError("Hessian is non-finite", point=x)

@@ -208,8 +208,8 @@ def sample_measure(p: Potential, n: int, method: str = "radial_exact",
     if n < 1:
         raise ParameterError("n must be positive")
     if method == "radial_exact":
-        if not p.is_radial:
-            raise PreconditionError("is_radial", "radial_exact requires a radial potential")
+        if p.radial is None:
+            raise PreconditionError("radial", "radial_exact requires a radial potential")
         return _sample_radial_exact(p, n, seed)
     if method == "mala":
         return _sample_mala(p, n, seed)
@@ -226,9 +226,7 @@ MALA_TARGET_ACCEPTANCE = 0.574
 
 
 def _radial_log_density(p: Potential, r: np.ndarray) -> np.ndarray:
-    x = np.zeros((r.size, p.dim))
-    x[:, 0] = r
-    v = np.asarray(p.value(x), dtype=float)
+    v = np.asarray(p.radial.value(r * r), dtype=float)
     if p.dim == 1:
         return -v
     with np.errstate(divide="ignore"):

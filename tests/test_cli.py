@@ -123,6 +123,14 @@ def test_bound_bad_potential_exits_one(capsys):
       "--perturbation", "perturbation=arctan eps=x"), "eps=x"),
     (("simulate", "--potential", "family=gaussian rho=1 dim=1",
       "--perturbation", "perturbation=identity", "--x0", "abc", "--paths", "10"), "abc"),
+    (("bound", "--potential", "family=gaussian rho=inf dim=1",
+      "--perturbation", "perturbation=identity"), "rho"),
+    (("bound", "--potential", "family=subbotin alpha=inf dim=2",
+      "--perturbation", "perturbation=identity"), "alpha"),
+    (("bound", "--potential", "family=subbotin alpha=4 dim=2",
+      "--perturbation", "perturbation=arctan eps=inf"), "eps"),
+    (("bound", "--potential", "family=subbotin alpha=4 dim=2",
+      "--perturbation", "perturbation=arctan eps=1000"), "eps"),
 ])
 def test_malformed_number_exits_one_with_manifest(capsys, argv, token):
     code, out, err = run(capsys, *argv)
@@ -131,6 +139,19 @@ def test_malformed_number_exits_one_with_manifest(capsys, argv, token):
     assert "\n" not in err.strip()
     error = json.loads(err)["error"]
     assert error.startswith("ParameterError") and token in error
+
+
+def test_evaluation_error_exits_one_with_manifest(capsys):
+    # psi of |x|^1000 / 1000 overflows at the radii where kappa checks its closed forms
+    code, out, err = run(
+        capsys, "bound",
+        "--potential", "family=subbotin alpha=1000 dim=2",
+        "--perturbation", "perturbation=arctan eps=0.3",
+        "--method", "fk",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"].startswith("EvaluationError")
 
 
 # --- certify -------------------------------------------------------------------

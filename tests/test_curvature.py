@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from logsob.curvature import (
     Certificate,
     SearchConfig,
+    _check_radial_reduction,
     _radial_objective,
     _radial_search,
     certify_double_well,
@@ -16,9 +18,9 @@ from logsob.curvature import (
     kappa,
     kappa_tilde,
 )
-from logsob.errors import ParameterError
+from logsob.errors import EvaluationError, ParameterError
 from logsob.perturbations import arctan_perturbation, identity_perturbation, psi_radial
-from logsob.potentials import make_custom_potential, make_potential
+from logsob.potentials import Radial, make_custom_potential, make_potential
 
 SQ3 = math.sqrt(3.0)
 
@@ -141,8 +143,8 @@ def test_identity_objectives_scale_pointwise():
     p = make_potential("double_well", 2, beta=0.3)
     a = identity_perturbation()
     t = np.concatenate([[0.0], np.logspace(-6, 4, 100)])
-    two = 2.0 * np.asarray(p.radial_rho_minus(t)) + psi_radial(a, p, t)
-    one = np.asarray(p.radial_rho_minus(t)) + psi_radial(a, p, t)
+    two = 2.0 * np.asarray(p.radial.rho_minus(t)) + psi_radial(a, p, t)
+    one = np.asarray(p.radial.rho_minus(t)) + psi_radial(a, p, t)
     assert np.array_equal(two, 2.0 * one)
 
 
@@ -153,7 +155,7 @@ def test_value_at_origin_quadric(d):
     for eps in (0.1, 0.5, 1.0):
         a = arctan_perturbation(eps)
         p = make_potential("subbotin", d, alpha=4.0)
-        val = 2.0 * p.radial_rho_minus(np.asarray([0.0]))[0] + psi_radial(a, p, np.asarray([0.0]))[0]
+        val = 2.0 * p.radial.rho_minus(np.asarray([0.0]))[0] + psi_radial(a, p, np.asarray([0.0]))[0]
         assert val == eps * d
 
 
@@ -162,7 +164,7 @@ def test_value_at_origin_double_well(d, beta):
     eps = 2.0 / (d + 1)
     a = arctan_perturbation(eps)
     p = make_potential("double_well", d, beta=beta)
-    val = 2.0 * p.radial_rho_minus(np.asarray([0.0]))[0] + psi_radial(a, p, np.asarray([0.0]))[0]
+    val = 2.0 * p.radial.rho_minus(np.asarray([0.0]))[0] + psi_radial(a, p, np.asarray([0.0]))[0]
     assert val == eps * d - 2 * beta
 
 
@@ -310,8 +312,28 @@ def test_report_value_bounds_probed_points():
     a = arctan_perturbation(0.4)
     rep = kappa(p, a)
     t = np.concatenate([[0.0], np.logspace(-8, 4, 2000)])
-    vals = 2.0 * np.asarray(p.radial_rho_minus(t)) + psi_radial(a, p, t)
+    vals = 2.0 * np.asarray(p.radial.rho_minus(t)) + psi_radial(a, p, t)
     assert np.all(rep.value <= vals + 1e-12)
+
+
+def test_closed_forms_agree_with_point_evaluators():
+    for d in (1, 2, 3, 8, 64):
+        for p in (make_potential("gaussian", d, rho=0.7), make_potential("subbotin", d, alpha=4.0),
+                  make_potential("subbotin", d, alpha=3.5),
+                  make_potential("double_well", d, beta=0.2)):
+            for a in (arctan_perturbation(0.05), arctan_perturbation(0.7),
+                      arctan_perturbation(5.0)):
+                for weight in (1.0, 2.0):
+                    _check_radial_reduction(p, a, weight)
+
+
+def test_wrong_closed_form_is_caught():
+    # the d = 1 eigenvalue floor 3t - beta, put into a d = 3 double well
+    # whose floor is t - beta
+    p = make_potential("double_well", 3, beta=0.2)
+    wrong = dataclasses.replace(p.radial, rho_minus=lambda t: 3.0 * np.asarray(t) - 0.2)
+    with pytest.raises(EvaluationError, match="radial reduction invalid"):
+        kappa_tilde(dataclasses.replace(p, radial=wrong), arctan_perturbation(0.5))
 
 
 def test_unbounded_below_detection():
@@ -322,9 +344,13 @@ def test_unbounded_below_detection():
         gradient=lambda x: -np.sqrt(np.sum(x**2, axis=-1))[..., None] * x,
         hessian=lambda x: -np.sqrt(np.sum(np.asarray(x) ** 2)) * np.eye(2),
         vectorized=False,
-        radial_rho_minus=lambda t: -np.sqrt(np.asarray(t, dtype=float)),
+        radial=Radial(
+            value=lambda t: -np.asarray(t, dtype=float) ** 1.5 / 3.0,
+            grad_coeff=lambda t: -np.sqrt(np.asarray(t, dtype=float)),
+            hess_split=lambda t: (np.zeros_like(t), -np.sqrt(np.asarray(t, dtype=float))),
+            rho_minus=lambda t: -np.sqrt(np.asarray(t, dtype=float)),
+        ),
     )
-    object.__setattr__(p, "radial_grad_coeff", lambda t: -np.sqrt(np.asarray(t, dtype=float)))
     rep = kappa(p, identity_perturbation(), SearchConfig(t_max_cap=1e6))
     assert rep.value == -math.inf
     assert rep.details.get("unbounded_below")

@@ -15,7 +15,7 @@ from logsob.perturbations import (
     psi_radial,
     render_perturbation,
 )
-from logsob.potentials import make_potential
+from logsob.potentials import Radial, make_custom_potential, make_potential
 
 
 def closed_form_psi_quartic(eps, d, t):
@@ -96,6 +96,12 @@ def test_arctan_lap_over_a_matches_finite_differences():
 def test_arctan_requires_positive_eps():
     with pytest.raises(ParameterError, match="eps"):
         arctan_perturbation(-0.1)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 1000.0])
+def test_arctan_requires_finite_sup_a(eps):
+    with pytest.raises(ParameterError, match="eps"):
+        arctan_perturbation(eps)
 
 
 # --- psi: generic expansion vs radial closed form ---------------------------
@@ -202,6 +208,40 @@ def test_check_BM_d2_subbotin_violated():
     # off-diagonal at x = (1,1) is (alpha-2)|x|^{alpha-4} x1 x2 = 2
     h = p.hessian(np.array([1.0, 1.0]))
     assert h[0, 1] == pytest.approx(2.0, abs=0)
+
+
+def test_check_BM_row_sums_in_d8():
+    # V = -|x|^4/4: hess V = -2 x x^T - |x|^2 I has nonpositive off-diagonal
+    # entries, but its largest row sum grows like (sqrt 8 - 2) |x|^2
+    d = 8
+    p = make_custom_potential(
+        d,
+        value=lambda x: -np.sum(x**2, axis=-1) ** 2 / 4.0,
+        gradient=lambda x: -np.sum(x**2, axis=-1)[..., None] * x,
+        hessian=lambda x: -2.0 * np.outer(x, x) - np.dot(x, x) * np.eye(d),
+        radial=Radial(
+            value=lambda t: -np.asarray(t) ** 2 / 4.0,
+            grad_coeff=lambda t: -np.asarray(t),
+            hess_split=lambda t: (np.full_like(np.asarray(t), -2.0), -np.asarray(t)),
+            rho_minus=lambda t: -3.0 * np.asarray(t),
+        ),
+    )
+    rep = check_BM(identity_perturbation(), p)
+    assert not rep.satisfied
+    assert "condition (1)" in rep.detail and "condition (2)" in rep.detail
+    # row 0 sums to B + A x_0 sum_j x_j; with A < 0 it is largest where
+    # x_0 sum_j x_j is smallest: along the bottom eigenvector of (e_0 1^T + 1 e_0^T) / 2
+    m = np.zeros((d, d))
+    m[0, :] += 0.5
+    m[:, 0] += 0.5
+    x = np.linalg.eigh(m)[1][:, 0]
+    assert np.sum(p.hessian(x)[0]) == pytest.approx(math.sqrt(d) - 2.0, rel=1e-12)
+
+
+def test_check_BM_d3_gaussian_identity_satisfied():
+    rep = check_BM(identity_perturbation(), make_potential("gaussian", 3, rho=2.0))
+    assert rep.satisfied
+    assert rep.sup == pytest.approx(2.0, abs=1e-12)
 
 
 def test_check_BM_d1_arctan_subbotin_reports_grid_sup():

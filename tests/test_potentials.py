@@ -66,11 +66,20 @@ def test_double_well_hand_values():
         ("double_well", {"beta": -0.1}, "beta"),
         ("gaussian", {"rho": 0.0}, "rho"),
         ("nosuch", {}, "family"),
+        ("gaussian", {"rho": float("inf")}, "rho"),
+        ("subbotin", {"alpha": float("inf")}, "alpha"),
     ],
 )
 def test_parameter_errors_name_the_constraint(family, kwargs, msg):
     with pytest.raises(ParameterError, match=msg):
         make_potential(family, 2, **kwargs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_eigenvalue_floor_derives_from_profile(d):
+    assert make_potential("gaussian", d, rho=0.7).hessian_lower_bound == 0.7
+    assert make_potential("subbotin", d, alpha=3.5).hessian_lower_bound == 0.0
+    assert make_potential("double_well", d, beta=0.3).hessian_lower_bound == -0.3
 
 
 def test_dimension_must_be_positive():

@@ -250,14 +250,19 @@ def test_mala_matches_exact_sampler_moments():
 
 
 def test_sampler_rejects_non_normalizable():
-    from logsob.potentials import make_custom_potential
+    from logsob.potentials import Radial, make_custom_potential
 
     p = make_custom_potential(
         1,
         value=lambda x: np.log1p(np.abs(x[..., 0])),  # density ~ 1/(1+|x|), not integrable
         gradient=lambda x: np.sign(x) / (1.0 + np.abs(x)),
         hessian=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
-        radial_rho_minus=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        radial=Radial(
+            value=lambda t: np.log1p(np.sqrt(t)),
+            grad_coeff=lambda t: 1.0 / (np.sqrt(t) * (1.0 + np.sqrt(t))),
+            hess_split=lambda t: (np.zeros_like(t), np.zeros_like(t)),
+            rho_minus=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        ),
     )
     with pytest.raises(EstimationError):
         sample_measure(p, 100, method="radial_exact", seed=0)

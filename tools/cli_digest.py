@@ -1,0 +1,132 @@
+"""Digest of the logsob command line's output over a fixed command list.
+
+    python3 tools/cli_digest.py
+
+Imports ``logsob`` from the ``src/`` of the checkout this file sits in and
+runs every command of :data:`COMMANDS` in-process through
+``logsob.cli.main``.  It prints one sha256 per command and one over all of
+them.  A command's digest covers its exit code, its stdout, the ``error``
+field of its stderr manifest and the file written by ``--emit-paths``
+(into a temporary directory).  An exception that escapes ``main`` is
+recorded by its type in place of the exit code.  Run it on two checkouts
+and compare the lines to see which commands changed their output; the
+manifest's timings are not digested.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from logsob.cli import main  # noqa: E402
+
+PERTURBATIONS = ("perturbation=identity", "perturbation=arctan eps=0.3",
+                 "perturbation=arctan eps=5")
+POTENTIALS = ("family=gaussian rho=1", "family=gaussian rho=0.5", "family=subbotin alpha=4",
+              "family=subbotin alpha=3", "family=subbotin alpha=1000",
+              "family=double_well beta=0.2")
+SDE = ("--paths", "20000", "--seed", "7")
+
+
+def _commands() -> list:
+    cmds = [["sweep", "--family", "quadric", "--dims", "1:64"]]
+    for beta in ("0", "0.05", "0.25", "0.45"):
+        cmds.append(["sweep", "--family", "double_well", "--dims", "1:32", "--beta", beta])
+    for pot in POTENTIALS:
+        for d in (1, 2, 8):
+            for pert in PERTURBATIONS:
+                cmds.append(["bound", "--potential", f"{pot} dim={d}", "--perturbation", pert])
+    cmds += [
+        ["bound", "--potential", "family=subbotin alpha=1000 dim=2",
+         "--perturbation", "perturbation=arctan eps=0.3", "--method", "fk"],
+        ["certify", "--family", "quadric", "--eps", "0.25", "--dim", "8"],
+        ["certify", "--family", "quadric", "--eps", "2", "--dim", "1"],
+        ["certify", "--family", "double_well", "--eps", "0.4", "--dim", "4", "--beta", "0.25"],
+    ]
+    for pot in ("family=subbotin alpha=4 dim=1", "family=subbotin alpha=4 dim=2",
+                "family=double_well beta=0.25 dim=1", "family=gaussian rho=1 dim=2"):
+        cmds.append(["verify", "--check", "audit", "--potential", pot,
+                     "--perturbation", "perturbation=identity", "--paths", "5000", "--seed", "3"])
+    cmds += [
+        ["verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
+         "--perturbation", "perturbation=arctan eps=0.4", "--dt", "0.001", "--t", "0.04", *SDE],
+        ["verify", "--check", "monotone", "--potential", "family=subbotin alpha=4 dim=1",
+         "--perturbation", "perturbation=arctan eps=0.5", "--f", "one-plus-tanh",
+         "--dt", "0.01", "--t", "0.5", *SDE],
+        ["verify", "--check", "representation", "--potential", "family=gaussian rho=1 dim=2",
+         "--perturbation", "perturbation=arctan eps=0.3", "--x0", "0.8,-0.6",
+         "--dt", "0.01", "--t", "0.1", *SDE],
+        ["verify", "--check", "representation", "--potential", "family=subbotin alpha=4 dim=1",
+         "--perturbation", "perturbation=arctan eps=0.5", "--f", "tanh", "--x0", "0.3",
+         "--dt", "0.01", "--t", "0.25", *SDE],
+        ["simulate", "--potential", "family=subbotin alpha=4 dim=2",
+         "--perturbation", "perturbation=arctan eps=0.4", "--x0", "0,0",
+         "--dt", "0.01", "--t", "0.1", *SDE],
+        ["simulate", "--potential", "family=subbotin alpha=4 dim=2",
+         "--perturbation", "perturbation=arctan eps=0.4", "--x0", "0,0",
+         "--dt", "0.01", "--t", "0.1", *SDE, "--emit-paths", "{tmp}/paths.csv"],
+        ["simulate", "--potential", "family=double_well beta=0.25 dim=8",
+         "--perturbation", "perturbation=identity", "--x0", ",".join(["0.1"] * 8),
+         "--dt", "0.002", "--t", "0.01", "--paths", "2000", "--seed", "5",
+         "--emit-paths", "{tmp}/paths8.csv"],
+        ["sample", "--potential", "family=double_well beta=0.25 dim=1", "-n", "2000"],
+        ["sample", "--potential", "family=subbotin alpha=4 dim=2", "-n", "2000", "--seed", "4"],
+        ["sample", "--potential", "family=subbotin alpha=4 dim=2", "-n", "1000",
+         "--method", "mala", "--seed", "4"],
+    ]
+    for pot, pert in (("family=gaussian rho=abc dim=1", "perturbation=identity"),
+                      ("family=gaussian rho=1 dim=1", "perturbation=arctan eps=x"),
+                      ("family=gaussian rho=inf dim=1", "perturbation=identity"),
+                      ("family=subbotin alpha=inf dim=2", "perturbation=identity"),
+                      ("family=subbotin alpha=4 dim=2", "perturbation=arctan eps=inf"),
+                      ("family=subbotin alpha=4 dim=2", "perturbation=arctan eps=1000")):
+        cmds.append(["bound", "--potential", pot, "--perturbation", pert])
+    cmds.append(["simulate", "--potential", "family=gaussian rho=1 dim=1",
+                 "--perturbation", "perturbation=identity", "--x0", "abc", "--paths", "10"])
+    return cmds
+
+
+COMMANDS = _commands()
+
+
+def run_one(argv: list, tmp: str) -> bytes:
+    """The digested record of one command."""
+    argv = [a.replace("{tmp}", tmp) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = f"exit {main(argv)}"
+        except Exception as exc:  # an escaping exception is part of the behaviour
+            status = f"raised {type(exc).__name__}"
+    manifest = next((ln for ln in reversed(err.getvalue().splitlines()) if ln.startswith("{")),
+                    None)
+    error = json.loads(manifest).get("error", "") if manifest else ""
+    record = [status, error, out.getvalue()]
+    for path in (a for a in argv if a.startswith(tmp)):
+        p = Path(path)
+        record.append(p.read_text() if p.exists() else "<missing>")
+        if p.exists():
+            p.unlink()
+    return "\n--\n".join(record).encode()
+
+
+def main_digest() -> int:
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(COMMANDS):
+            digest = hashlib.sha256(run_one(argv, tmp)).hexdigest()
+            total.update(digest.encode())
+            print(f"{digest}  {i:3d} {' '.join(argv)}", flush=True)
+    print(f"{total.hexdigest()}  total ({len(COMMANDS)} commands)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
