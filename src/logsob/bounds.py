@@ -150,7 +150,7 @@ def _a_nondecreasing(a: Perturbation):
     """
     if a.family == "identity":
         return True, "constant", False
-    if a.nondecreasing_radial:
+    if a.radial is not None:
         return True, "non-decreasing in |x| (radial family)", True
     grid = np.linspace(-30.0, 30.0, 1001)[:, None]
     vals = np.asarray(a.value(grid), dtype=float)

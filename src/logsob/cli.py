@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import EstimationError, EvaluationError, ParameterError, Preconditi
 from .perturbations import parse_perturbation
 from .potentials import parse_potential
 from .sde import SdeConfig, SmoothFunction, simulate
+from .threads import worker_count
 from .verify import (
     lsi_audit,
     martingale_check,
@@ -44,6 +46,11 @@ from .verify import (
     representation_check,
     sample_measure,
 )
+
+# rows per chunk of --emit-paths: small, so that writing starts soon after
+# the first chunk's norms, and bounded, so that peak memory does not grow
+# with the path count
+EMIT_ROWS = 8192
 
 
 def _fmt(x: float) -> str:
@@ -108,13 +115,8 @@ def dumps(obj, one_line: bool = False) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "%.17g" % v
-    return str(v)
+    # "%.17g" writes nan, inf and -inf itself
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def _parse_x0(text: str) -> tuple:
@@ -250,16 +252,29 @@ def _cmd_simulate(args) -> tuple:
         "mean_psi_integral": float(np.mean(batch.psi_integral[valid])),
     }
     if args.emit_paths:
-        j_norms = np.linalg.norm(batch.j_t, ord=2, axis=(1, 2))
-        header = ["path_id"] + [f"x_t_{i}" for i in range(cfg.dim)] + ["log_r", "j_norm"]
-        with open(args.emit_paths, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(len(batch)):
-                row = [str(i)] + [_csv_cell(float(v)) for v in batch.x_t[i]]
-                row += [_csv_cell(float(batch.girsanov_log_weight[i])),
-                        _csv_cell(float(j_norms[i]))]
-                fh.write(",".join(row) + "\n")
+        _write_paths(args.emit_paths, batch)
     return dumps(summary), True
+
+
+def _write_paths(path: str, batch) -> None:
+    """Per-path CSV (id, X_T, log R, spectral norm of J), EMIT_ROWS rows at
+    a time.  Worker threads compute the norms (numpy's batched SVD releases
+    the GIL) while the main thread formats the rows they are done with."""
+    n, d = batch.x_t.shape
+    header = ["path_id"] + [f"x_t_{i}" for i in range(d)] + ["log_r", "j_norm"]
+    row = "%d" + ",%.17g" * (d + 2) + "\n"
+    chunks = [(lo, min(lo + EMIT_ROWS, n)) for lo in range(0, n, EMIT_ROWS)]
+
+    def j_norm(chunk):
+        lo, hi = chunk
+        return np.linalg.norm(batch.j_t[lo:hi], ord=2, axis=(1, 2))
+
+    with open(path, "w") as fh, ThreadPoolExecutor(worker_count()) as pool:
+        fh.write(",".join(header) + "\n")
+        for (lo, hi), norms in zip(chunks, pool.map(j_norm, chunks)):
+            cols = np.column_stack([np.arange(lo, hi), batch.x_t[lo:hi],
+                                    batch.girsanov_log_weight[lo:hi], norms])
+            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
 
 
 def _cmd_verify(args) -> tuple:
@@ -300,9 +315,9 @@ def _cmd_sample(args) -> tuple:
     if method is None:
         raise ParameterError("method must be radial or mala")
     points = sample_measure(p, args.n, method=method, seed=args.seed)
+    row = ",".join(["%.17g"] * p.dim)
     lines = [",".join(f"x_{i}" for i in range(p.dim))]
-    for row in points:
-        lines.append(",".join(_csv_cell(float(v)) for v in row))
+    lines += [row % tuple(r) for r in points.tolist()]
     return "\n".join(lines), True
 
 

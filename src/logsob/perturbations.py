@@ -88,7 +88,8 @@ class Perturbation:
     """Immutable perturbation with derived-field evaluators.
 
     Evaluators accept (..., dim)-shaped points.  ``radial`` holds the
-    closed forms in t = |x|^2 of the radial built-ins.
+    closed forms in t = |x|^2 of the radial built-ins, each of which is
+    non-decreasing in |x|; custom perturbations have none.
     """
 
     family: str
@@ -100,7 +101,6 @@ class Perturbation:
     sup_a_inv: Norm
     sup_log_grad: Norm
     radial: Optional[RadialTilt] = None
-    nondecreasing_radial: bool = False
 
 
 def _radial_perturbation(family: str, params: dict, tilt: RadialTilt, sup_a: float,
@@ -117,7 +117,7 @@ def _radial_perturbation(family: str, params: dict, tilt: RadialTilt, sup_a: flo
         return tilt.lap_over_a(_sqnorm(x), x.shape[-1])
 
     return Perturbation(family, params, lambda x: tilt.value(_sqnorm(x)), log_grad, lap_over_a,
-                        Norm(sup_a, True), Norm(1.0, True), Norm(sup_log_grad, True), tilt, True)
+                        Norm(sup_a, True), Norm(1.0, True), Norm(sup_log_grad, True), tilt)
 
 
 def identity_perturbation() -> Perturbation:
@@ -271,9 +271,8 @@ def check_G(a: Perturbation, dim: int = 1) -> ConditionReport:
     if a.family == "identity":
         return ConditionReport("(G)", True, 0.0, True, False, "grad a = 0")
     if a.family == "arctan":
-        eps = a.params["eps"]
         return ConditionReport(
-            "(G)", True, eps * 3.0 ** 0.75 / 4.0, True, False,
+            "(G)", True, a.sup_log_grad.value, True, False,
             "closed-form maximum of eps sqrt(t)/(1+t^2) at t = 1/sqrt(3)",
         )
     pts = _probe_points(dim)

@@ -34,12 +34,18 @@ Array = np.ndarray
 
 def jacobi_eigenvalues(matrix: Array) -> Array:
     """Eigenvalues of a real symmetric matrix, ascending, by LAPACK
-    ``eigvalsh`` (only the lower triangle is read)."""
+    ``eigvalsh`` (only the lower triangle is read).
+
+    Raises EvaluationError when LAPACK does not converge, which a matrix
+    holding nan can cause."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("jacobi_eigenvalues expects a square matrix")
-    return np.linalg.eigvalsh(a)
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(f"symmetric eigensolve failed ({exc})", point=None) from None
 
 
 @dataclass(frozen=True)

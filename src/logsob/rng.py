@@ -24,7 +24,6 @@ BLOCK_PATHS = 1 << 16
 TAG_SAMPLER = 1 << 33
 TAG_MALA = 2 << 33
 TAG_BOOTSTRAP = 3 << 33
-TAG_QMC = 4 << 33
 
 
 def _generator(seed: int, word: int) -> np.random.Generator:

@@ -6,9 +6,11 @@ tilted potential V_a = V + log a^2).  Alongside the state we integrate
 
   * the tangent flow J, dJ = -J hess V(X) dt, J_0 = I, only when the
     caller asks for it (``tangent=True``, the default): it is read only by
-    the gradient representation E[R J grad f(X_T)], and its Hessian build
-    and matrix update dominate the cost of a step.  The Hessian of the
-    *unperturbed* potential enters in both variants.
+    the gradient representation E[R J grad f(X_T)].  The Hessian of the
+    *unperturbed* potential enters in both variants.  For a radial
+    potential, hess V = A x x^T + B I, so the step applies
+    J hess V = B J + A (J x) x^T in place without building the Hessian; a
+    potential without a radial profile multiplies by its built Hessian.
   * the reweighting martingale R on perturbed paths, accumulated through
     its pathwise exponent
 
@@ -212,6 +214,8 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
 
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
     j = np.tile(np.eye(d), (n, 1, 1)) if tangent else None
+    # scratch of the tangent update, reused on every step
+    work = (np.empty_like(j), np.empty_like(j)) if tangent else None
     alive = np.ones(n, dtype=bool)
     grad = np.asarray(p.gradient(x), dtype=float)
     # running trapezoid sum: half weight on the initial state, full weights
@@ -252,11 +256,12 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
             bad = ~np.all(np.isfinite(x_new), axis=1)
             bad |= np.einsum("ni,ni->n", x_new, x_new) > DIVERGENCE_RADIUS**2
         alive = alive & ~bad
-        keep = alive[:, None]
+        # where=True while every path is alive: numpy's masked loops cost
+        # several times the plain ones
+        everyone = bool(alive.all())
         if tangent:
-            hess = np.asarray(p.hessian(x), dtype=float)
-            j = np.where(keep[:, :, None], j - dt * (j @ hess), j)
-        x = np.where(keep, x_new, x)
+            _tangent_step(p, j, x, dt, True if everyone else alive[:, None, None], work)
+        np.copyto(x, x_new, where=True if everyone else alive[:, None])
         grad = np.asarray(p.gradient(x), dtype=float)
         if weighted:
             lg = np.asarray(a.log_grad(x), dtype=float)
@@ -275,6 +280,30 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
         out.update(log_w=log_w, psi_int=psi_int, checkpoints=checkpoints, stoch=stoch,
                    observed_lg=observed_lg)
     return out
+
+
+def _tangent_step(p, j, x, dt, keep, work):
+    """One Euler step of the tangent flow in place: J <- J - dt J hess V(x)
+    on the paths where ``keep`` (a mask over J, or True) holds.
+
+    For a radial potential, hess V = A x x^T + B I with (A, B) from
+    ``p.radial.hess_split``, so J hess V = B J + A (J x) x^T and no Hessian
+    is built.  When A vanishes on the whole block (the Gaussian) the update
+    is the scalar recursion J - dt (B J), bit for bit.  Potentials without
+    a radial profile multiply by their built Hessian."""
+    upd, outer = work
+    if p.radial is None:
+        np.matmul(j, np.asarray(p.hessian(x), dtype=float), out=upd)
+    else:
+        a_coef, b_coef = p.radial.hess_split(np.einsum("ni,ni->n", x, x))
+        np.multiply(j, b_coef[:, None, None], out=upd)
+        if np.any(a_coef):
+            jx = np.einsum("nij,nj->ni", j, x)
+            jx *= a_coef[:, None]
+            np.multiply(jx[:, :, None], x[:, None, :], out=outer)
+            upd += outer
+    upd *= dt
+    np.subtract(j, upd, out=j, where=keep)
 
 
 # --- estimators ---------------------------------------------------------------

@@ -174,7 +174,7 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
         raise PreconditionError("f > 0", "test function is not positive on the probe grid")
     a_note = ""
     if a.family != "identity":
-        if a.nondecreasing_radial:
+        if a.radial is not None:
             # symmetric radial profile: non-decreasing in |x|, flagged rather
             # than rejected (the comparison is still checked, not assumed)
             a_note = "a is non-decreasing in |x| (radial family); pointwise monotonicity waived"

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from logsob.cli import dumps, main
+from logsob.cli import EMIT_ROWS, _csv_cell, dumps, main
 from logsob.perturbations import parse_perturbation, render_perturbation
 from logsob.potentials import parse_potential, render_potential
+from logsob.sde import SdeConfig, simulate
+from logsob.verify import sample_measure
 
 
 def run(capsys, *argv):
@@ -154,6 +156,32 @@ def test_evaluation_error_exits_one_with_manifest(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"].startswith("EvaluationError")
 
 
+def test_eigensolve_failure_exits_one_with_manifest(capsys):
+    # the d = 8 Hessian of |x|^1000 / 1000 holds nan (inf * 0) at the radii
+    # the curvature search visits, and LAPACK does not converge on it
+    code, out, err = run(
+        capsys, "bound",
+        "--potential", "family=subbotin alpha=1000 dim=8",
+        "--perturbation", "perturbation=arctan eps=0.3",
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])["error"]
+    assert error.startswith("EvaluationError") and "did not converge" in error
+
+
+# --- CSV cells -----------------------------------------------------------------
+
+def test_csv_cell_non_finite_and_non_float():
+    assert [_csv_cell(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+    assert _csv_cell(0.1) == "0.10000000000000001"
+    assert _csv_cell(-0.0) == "-0"
+    assert _csv_cell(3) == "3" and _csv_cell("x") == "x"
+    # the row formats of --emit-paths and sample write the same cells
+    row = "%d" + ",%.17g" * 4
+    assert row % (7.0, 0.1, math.nan, math.inf, -math.inf) == "7,0.10000000000000001,nan,inf,-inf"
+
+
 # --- certify -------------------------------------------------------------------
 
 def test_certify_negative_verdict_exits_zero(capsys):
@@ -226,6 +254,37 @@ def test_simulate_summary_and_paths_file(tmp_path, capsys):
     assert out_lean == out
 
 
+def _first_difference(text, expected):
+    """(line number, line, expected line) of the first mismatch, or None;
+    a short report where a diff of two large files would take minutes."""
+    got, want = text.split("\n"), expected.split("\n")
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            return i, a, b
+    return None if len(got) == len(want) else (min(len(got), len(want)), len(got), len(want))
+
+
+def test_emitted_paths_match_per_cell_rendering(tmp_path, capsys):
+    # two full chunks and a partial one
+    n = 2 * EMIT_ROWS + 37
+    pot, pert = "family=subbotin alpha=4 dim=3", "perturbation=arctan eps=0.3"
+    out_file = tmp_path / "paths.csv"
+    code, _, _ = run(capsys, "simulate", "--potential", pot, "--perturbation", pert,
+                     "--t", "0.004", "--dt", "0.002", "--paths", str(n),
+                     "--seed", "9", "--x0", "0.2,0,-0.1", "--emit-paths", str(out_file))
+    assert code == 0
+    cfg = SdeConfig(dt=0.002, horizon=0.004, n_paths=n, seed=9, x0=(0.2, 0.0, -0.1))
+    batch = simulate(parse_potential(pot), parse_perturbation(pert), cfg,
+                     variant="perturbed")
+    j_norms = np.linalg.norm(batch.j_t, ord=2, axis=(1, 2))
+    lines = ["path_id,x_t_0,x_t_1,x_t_2,log_r,j_norm"]
+    for i in range(len(batch)):
+        row = [str(i)] + [_csv_cell(float(v)) for v in batch.x_t[i]]
+        row += [_csv_cell(float(batch.girsanov_log_weight[i])), _csv_cell(float(j_norms[i]))]
+        lines.append(",".join(row))
+    assert _first_difference(out_file.read_text(), "\n".join(lines) + "\n") is None
+
+
 def test_simulate_deterministic_given_seed(capsys):
     argv = ["simulate", "--potential", "family=gaussian rho=1 dim=1",
             "--perturbation", "perturbation=identity",
@@ -288,6 +347,17 @@ def test_sample_csv_output(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "x_0"
     assert len(lines) == 501
+
+
+@pytest.mark.parametrize("method,sampler", [("radial", "radial_exact"), ("mala", "mala")])
+def test_sample_csv_matches_per_cell_rendering(capsys, method, sampler):
+    pot = "family=subbotin alpha=4 dim=3"
+    code, out, _ = run(capsys, "sample", "--potential", pot, "-n", "300",
+                       "--method", method, "--seed", "4")
+    assert code == 0
+    points = sample_measure(parse_potential(pot), 300, method=sampler, seed=4)
+    lines = ["x_0,x_1,x_2"] + [",".join(_csv_cell(float(v)) for v in row) for row in points]
+    assert out == "\n".join(lines) + "\n"
 
 
 # --- usage errors ---------------------------------------------------------------------

@@ -146,6 +146,12 @@ def test_jacobi_against_lapack():
         assert np.allclose(jacobi_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-10)
 
 
+def test_jacobi_failure_is_an_evaluation_error():
+    # LAPACK does not converge on this matrix and raises LinAlgError
+    with pytest.raises(EvaluationError, match="did not converge"):
+        jacobi_eigenvalues(np.diag([1.0, np.nan, 2.0]))
+
+
 def test_radial_symmetry_under_rotations():
     rng = np.random.default_rng(11)
     for family, kwargs in [("gaussian", {"rho": 2.0}), ("subbotin", {"alpha": 4.0}),

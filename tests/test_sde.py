@@ -5,11 +5,13 @@ import pytest
 
 from logsob.errors import EstimationError, ParameterError
 from logsob.perturbations import arctan_perturbation, identity_perturbation
-from logsob.potentials import make_potential
+from logsob.potentials import make_custom_potential, make_potential
 from logsob.rng import BLOCK_PATHS
 from logsob.sde import (
+    DIVERGENCE_RADIUS,
     SdeConfig,
     SmoothFunction,
+    _tangent_step,
     estimate_expectation,
     estimate_fk_gradient,
     estimate_gradient_fd,
@@ -73,12 +75,12 @@ def test_determinism_across_worker_counts():
                             checkpoint_times=(0.05, 0.1), max_workers=workers, tangent=tangent)
 
         b1 = run(1, True)
-        b4 = run(4, True)
+        threaded = [run(2, True), run(4, True)]
         lean = [run(1, False), run(2, False)]
-        assert np.array_equal(b1.j_t, b4.j_t)
+        assert all(np.array_equal(b1.j_t, b.j_t) for b in threaded)
         assert all(b.j_t is None for b in lean)
         # skipping the tangent flow leaves every other output bit-identical
-        for other in [b4] + lean:
+        for other in threaded + lean:
             _assert_same_paths(b1, other)
 
 
@@ -100,6 +102,88 @@ def test_seed_changes_draws():
     cfg1 = SdeConfig(dt=0.01, horizon=0.1, n_paths=100, seed=1, x0=(0.0,))
     cfg2 = SdeConfig(dt=0.01, horizon=0.1, n_paths=100, seed=2, x0=(0.0,))
     assert not np.array_equal(simulate(p, a, cfg1).x_t, simulate(p, a, cfg2).x_t)
+
+
+# --- tangent update ------------------------------------------------------------
+
+def _one_tangent_step(p, j, x, dt, keep):
+    j = j.copy()
+    _tangent_step(p, j, x, dt, keep[:, None, None], (np.empty_like(j), np.empty_like(j)))
+    return j
+
+
+def _random_state(d, n=2000, seed=0):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, d)) * 1.5
+    j = np.eye(d) + 0.3 * gen.normal(size=(n, d, d))
+    return j, x
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("family,params", [("subbotin", {"alpha": 4.0}),
+                                           ("double_well", {"beta": 0.2})])
+def test_radial_tangent_step_matches_hessian_product(family, params, d):
+    p = make_potential(family, d, **params)
+    j, x = _random_state(d)
+    dt = 0.01
+    reference = j - dt * (j @ p.hessian(x))
+    lean = _one_tangent_step(p, j, x, dt, np.ones(len(x), dtype=bool))
+    # B J + A (J x) x^T rounds differently from the product with the built
+    # Hessian: a few ulps of each matrix's largest entry
+    scale = np.max(np.abs(reference), axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(lean - reference) / scale) <= 4e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_gaussian_tangent_step_is_bit_identical(d):
+    p = make_potential("gaussian", d, rho=1.7)
+    j, x = _random_state(d)
+    dt = 0.01
+    lean = _one_tangent_step(p, j, x, dt, np.ones(len(x), dtype=bool))
+    assert np.array_equal(lean, j - dt * (j @ p.hessian(x)))
+
+
+def test_tangent_step_freezes_dropped_paths():
+    p = make_potential("subbotin", 3, alpha=4.0)
+    j, x = _random_state(3)
+    keep = np.arange(len(x)) % 3 != 0
+    stepped = _one_tangent_step(p, j, x, 0.01, keep)
+    assert np.array_equal(stepped[~keep], j[~keep])
+    assert not np.any(np.all(stepped[keep] == j[keep], axis=(1, 2)))
+
+
+def test_divergent_paths_keep_their_tangent_flow():
+    # every path survives the first step and leaves the divergence radius on
+    # the second, so J keeps its one-step value I - dt hess V(x0)
+    p = make_potential("subbotin", 2, alpha=4.0)
+    x0 = np.array([50.0, -50.0])
+    cfg = SdeConfig(dt=0.9, horizon=1.8, n_paths=50, seed=43, x0=tuple(x0))
+    batch = simulate(p, identity_perturbation(), cfg)
+    assert batch.n_divergent == 50
+    # the state is frozen too, at its last value inside the radius
+    assert np.all(np.sum(batch.x_t**2, axis=1) <= DIVERGENCE_RADIUS**2)
+    one_step = np.eye(2) - cfg.dt_eff * p.hessian(x0)
+    assert np.all(batch.j_t == batch.j_t[0])
+    assert np.max(np.abs(batch.j_t[0] - one_step)) <= 4e-15 * np.max(np.abs(one_step))
+
+
+def test_custom_potential_takes_the_hessian_path():
+    rho = 1.3
+    calls = []
+
+    def hessian(x):
+        calls.append(x.shape)
+        return rho * np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+
+    custom = make_custom_potential(2, lambda x: 0.5 * rho * np.sum(x * x, axis=-1),
+                                   lambda x: rho * x, hessian)
+    assert custom.radial is None
+    calls.clear()
+    cfg = SdeConfig(dt=0.01, horizon=0.05, n_paths=300, seed=5, x0=(0.4, -0.2))
+    batch = simulate(custom, identity_perturbation(), cfg)
+    assert calls == [(300, 2)] * cfg.n_steps
+    gauss = simulate(make_potential("gaussian", 2, rho=rho), identity_perturbation(), cfg)
+    assert np.array_equal(batch.j_t, gauss.j_t)
 
 
 # --- Ornstein-Uhlenbeck exactness ----------------------------------------------
