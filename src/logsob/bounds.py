@@ -32,7 +32,7 @@ from .curvature import (  # certify_* stay importable here for perfbench/tracing
     kappa,
     kappa_tilde,
 )
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, arctan_perturbation, check_G, tilted_hess_split
 from .potentials import Potential, make_potential
 from .threads import worker_count
@@ -237,7 +237,8 @@ def optimize_epsilon(family: str, d: int, beta: Optional[float] = None):
         eps_grid = np.linspace(eps_star / EPS_CONFIRM_GRID, eps_star, EPS_CONFIRM_GRID)
         objective = 4.0 * np.exp(eps_grid * math.pi / 4.0) / (eps_grid * d)
         if float(np.min(objective)) < constant - 1e-12 * constant:
-            raise AssertionError("eps objective is not minimized at the right endpoint")
+            raise EvaluationError("eps objective is not minimized at the right endpoint",
+                                  point=None)
         p = make_potential("subbotin", d, alpha=4.0)
     elif family == "double_well":
         if beta is None:
@@ -274,7 +275,7 @@ class SweepRow:
 
 
 def dimension_sweep(family: str, dims, beta: Optional[float] = None):
-    """One optimized bound per dimension, with the envelope assertion."""
+    """One optimized bound per dimension, each checked against the envelope."""
     dims = list(dims)
     if not dims:
         raise ParameterError("dimension range must be non-empty")
@@ -294,5 +295,6 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None):
         rows = [row(d) for d in dims]
     for r in rows:
         if r.valid and r.bound > r.envelope * (1.0 + 1e-12):
-            raise AssertionError(f"bound {r.bound} exceeds envelope {r.envelope} at d={r.d}")
+            raise EvaluationError(f"bound {r.bound} exceeds envelope {r.envelope} at d={r.d}",
+                                  point=None)
     return rows

@@ -2,7 +2,8 @@
 
 Subcommands: bound, certify, sweep, simulate, verify, sample.  Reports go
 to stdout (JSON or CSV per subcommand), a run manifest goes to stderr as a
-single JSON line, files are written only through --out / --emit-paths.
+single JSON line (numpy warnings are listed in it, not printed), files are
+written only through --out / --emit-paths.
 
 Exit codes: 0 on success with all checks passing, 1 on precondition or
 validation failure (including a failed statistical check), 2 on usage
@@ -19,6 +20,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -195,7 +197,6 @@ def _cmd_certify(args) -> tuple:
         "dim": cert.dim,
         **({"beta": cert.beta} if cert.beta is not None else {}),
         "coefficients": list(cert.coefficients),
-        "roots": [{"root": r, "multiplicity": m} for r, m in cert.roots_found],
         "verdict": cert.valid,
         "kappa": cert.kappa_if_valid,
     }
@@ -413,28 +414,32 @@ def main(argv: Optional[list] = None) -> int:
         "started": started,
     }
     outputs = []
-    try:
-        text, passed = _COMMANDS[args.command](args)
-    except (ParameterError, PreconditionError, EstimationError, EvaluationError) as exc:
-        manifest["finished"] = time.time()
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["outputs"] = outputs
-        print(dumps(manifest, one_line=True), file=sys.stderr)
-        return 1
-
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        outputs.append(out_path)
-    else:
-        print(text)
-    if getattr(args, "emit_paths", None):
-        outputs.append(args.emit_paths)
+    error = None
+    # numpy's warnings go into the manifest, so stderr stays one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            text, passed = _COMMANDS[args.command](args)
+        except (ParameterError, PreconditionError, EstimationError, EvaluationError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    manifest["warnings"] = list(dict.fromkeys(f"{w.category.__name__}: {w.message}"
+                                              for w in caught))
+    if error is None:
+        out_path = getattr(args, "out", None)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+            outputs.append(out_path)
+        else:
+            print(text)
+        if getattr(args, "emit_paths", None):
+            outputs.append(args.emit_paths)
     manifest["finished"] = time.time()
+    if error is not None:
+        manifest["error"] = error
     manifest["outputs"] = outputs
     print(dumps(manifest, one_line=True), file=sys.stderr)
-    return 0 if passed else 1
+    return 0 if error is None and passed else 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,9 @@ double-well case).  For d >= 2 the reduction is exact,
 kappa(t) - kappa(0) = t g(t) / (1 + t^2)^2; in d = 1 the radial eigenvalue
 3t replaces t, so g is a conservative surrogate there.
 ``certify_quadric`` and ``certify_double_well`` decide that nonnegativity
-by companion-matrix root isolation with Newton polish, so the reported
+exactly: the float coefficients are dyadic rationals, and Sturm counts
+over the integers, on g and its repeated gcds with the derivative, find
+every root of odd multiplicity in (0, infinity), so the reported
 curvature value is an exact evaluation rather than a grid minimum.
 ``kappa`` consults the certificate first for these pairs and
 reports a valid one as certified (method ``polynomial_certificate``); when
@@ -92,7 +94,6 @@ class Certificate:
     dim: int
     beta: Optional[float]
     coefficients: tuple       # (c4, c3, c2, c1, c0)
-    roots_found: tuple        # ((root, multiplicity), ...) real roots >= 0
     nonneg_on_halfline: bool
     kappa_if_valid: float
     valid: bool               # nonneg and, for double_well, eps > 2 beta / d
@@ -241,9 +242,7 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
     if cert is not None and cert.valid:
         return CurvatureReport(
             kind=kind, value=cert.kappa_if_valid, argmin=0.0, method="polynomial_certificate",
-            certified=True,
-            details={"roots": cert.roots_found, "grid_min": cert.details["grid_min"]},
-        )
+            certified=True, details={})
     if p.radial is not None and a.radial is not None:
         if p.family != "custom":
             _check_radial_reduction(p, a, weight)
@@ -265,80 +264,96 @@ def kappa_tilde(p: Potential, a: Perturbation) -> CurvatureReport:
 
 
 # --- polynomial certificates ------------------------------------------------
-
-_IMAG_CUTOFF = 1e-12
-_TANGENCY_TOL = 1e-8
-_GRID_SAFETY_TOL = 1e-9
+# Polynomials below are lists of Python ints, lowest degree first.
 
 
-def _polish_root(coeffs, r):
-    """Newton polish (at most 40 steps) of a real root candidate; falls
-    back to the input."""
-    poly = np.polynomial.polynomial.Polynomial(coeffs[::-1])
-    dpoly = poly.deriv()
-    x = float(r)
-    for _ in range(40):
-        fx = poly(x)
-        dfx = dpoly(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+def _primitive(p):
+    """p without high-order zeros, divided by the gcd of its coefficients."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    c = math.gcd(*p)
+    return [x // c for x in p] if c > 1 else p
 
 
-def _isolate_nonneg_roots(coeffs):
-    """Real roots >= 0 of the quartic with multiplicities via companion matrix."""
-    roots = np.roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    real = []
-    for z in roots:
-        if abs(z.imag) <= _IMAG_CUTOFF * max(1.0, abs(z.real)):
-            real.append(_polish_root(coeffs, z.real))
-    real = sorted(r for r in real if r >= -_TANGENCY_TOL)
-    clustered = []
-    for r in real:
-        if clustered and abs(r - clustered[-1][0]) <= _TANGENCY_TOL * max(1.0, abs(r)):
-            prev, mult = clustered[-1]
-            clustered[-1] = ((prev * mult + r) / (mult + 1), mult + 1)
-        else:
-            clustered.append((r, 1))
-    return tuple((max(r, 0.0), m) for r, m in clustered), scale
+def _prem(a, b):
+    """Remainder of a by b times a positive integer, so its signs are kept."""
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        q, k = s * r[-1], len(r) - len(b)
+        r = [m * x for x in r[:k]] + [m * x - q * y for x, y in zip(r[k:-1], b[:-1])]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
-def _grid_min(coeffs, upper):
-    # Cauchy bound: every root has modulus below 1 + max |c_i| / c_4
-    cauchy = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    upper = max(upper, cauchy)
-    t = np.concatenate([np.linspace(0.0, 2.0, 4001), np.linspace(2.0, upper, 4001)])
-    return float(np.min(np.polyval(coeffs, t)))
+def _sturm(p):
+    """(number of distinct roots of p in (0, inf), gcd(p, p')), both from
+    the Sturm sequence of p: p, p', then negated pseudo-remainders."""
+    while p[0] == 0:
+        p = p[1:]  # the roots at t = 0 are not counted
+    if len(p) == 1:
+        return 0, p
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while r := _primitive(_prem(chain[-2], chain[-1])):
+        chain.append([-x for x in r])
+
+    def variations(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return variations([q[0] for q in chain]) - variations([q[-1] for q in chain]), chain[-1]
 
 
-def _certify(coeffs, family, eps, dim, beta, kappa_if_valid, extra_ok=True, extra_note=""):
-    coeffs = tuple(float(c) for c in coeffs)
-    roots, scale = _isolate_nonneg_roots(coeffs)
-    g0 = coeffs[-1]
-    odd_positive = [r for r, m in roots if r > _TANGENCY_TOL and m % 2 == 1]
-    nonneg = g0 >= 0.0 and not odd_positive
-    # defensive scan: a dense evaluation must not contradict the verdict
-    gmin = _grid_min(coeffs, max(10.0, 2.0 * max((r for r, _ in roots), default=1.0)))
-    if nonneg and gmin < -_GRID_SAFETY_TOL * scale:
-        nonneg = False
-    details = {"g_at_0": g0, "grid_min": gmin, "tangency_tol": _TANGENCY_TOL}
-    if extra_note:
-        details["note"] = extra_note
+def _nonneg_on_halfline(coeffs) -> bool:
+    """Exact decision of g(t) >= 0 for every t >= 0, with g given by its
+    float coefficients, highest degree first.
+
+    It holds if and only if g(0) >= 0, the leading coefficient is positive
+    and no root of odd multiplicity lies in (0, inf).  Every double is a
+    dyadic rational, so one power of two turns the coefficients into
+    integers.  With u_0 = g and u_(k+1) = gcd(u_k, u_k'), Sturm's theorem
+    counts the N_k roots in (0, inf) of multiplicity above k, and
+    N_0 - N_1 + N_2 - ... counts those of odd multiplicity.
+    """
+    if not (coeffs[0] > 0 and coeffs[-1] >= 0):
+        return False
+    ratios = [c.as_integer_ratio() for c in reversed(coeffs)]
+    scale = max(den for _, den in ratios)
+    u = _primitive([num * (scale // den) for num, den in ratios])
+    odd, sign = 0, 1
+    while len(u) > 1:
+        n, u = _sturm(u)
+        odd, sign = odd + sign * n, -sign
+    return odd == 0
+
+
+def _certify(family, eps, d, beta):
+    """The certificate for g with the given parameters; the quadric is the
+    double well at beta = 0, whose coefficients keep the quadric's bits."""
+    if not 0 < eps < math.inf:
+        raise ParameterError("eps must be positive and finite")
+    if d < 1:
+        raise ParameterError("d must be a positive integer")
+    b = 0.0 if beta is None else float(beta)
+    if not 0 <= b < 0.5:
+        raise ParameterError("beta must lie in [0, 1/2)")
+    eps = float(eps)
+    coeffs = (2.0, -eps * (d + 1), 4.0 + eps * b, -eps * (d + 5), 2.0 - eps * eps + eps * b)
+    nonneg = _nonneg_on_halfline(coeffs)
+    positivity_ok = eps > 2.0 * b / d
+    details = {"g_at_0": coeffs[-1]}
+    if not positivity_ok:
+        details["note"] = "eps <= 2 beta / d: kappa at t=0 is not positive"
     return Certificate(
         family=family,
         eps=eps,
-        dim=dim,
-        beta=beta,
+        dim=int(d),
+        beta=None if beta is None else b,
         coefficients=coeffs,
-        roots_found=roots,
-        nonneg_on_halfline=bool(nonneg),
-        kappa_if_valid=kappa_if_valid,
-        valid=bool(nonneg and extra_ok),
+        nonneg_on_halfline=nonneg,
+        kappa_if_valid=eps * d - 2.0 * b,
+        valid=nonneg and positivity_ok,
         details=details,
     )
 
@@ -346,26 +361,11 @@ def _certify(coeffs, family, eps, dim, beta, kappa_if_valid, extra_ok=True, extr
 def certify_quadric(eps: float, d: int) -> Certificate:
     """Certify that the quartic-potential curvature infimum sits at t = 0,
     in which case kappa = eps * d."""
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-    if d < 1:
-        raise ParameterError("d must be a positive integer")
-    coeffs = (2.0, -eps * (d + 1), 4.0, -eps * (d + 5), 2.0 - eps * eps)
-    return _certify(coeffs, "quadric", float(eps), int(d), None, eps * d)
+    return _certify("quadric", eps, d, None)
 
 
 def certify_double_well(eps: float, d: int, beta: float) -> Certificate:
     """Double-well analogue of :func:`certify_quadric`; the curvature value
     at t = 0 is eps*d - 2*beta, and positivity additionally needs
     eps > 2 beta / d."""
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-    if d < 1:
-        raise ParameterError("d must be a positive integer")
-    if not 0 <= beta < 0.5:
-        raise ParameterError("beta must lie in [0, 1/2)")
-    coeffs = (2.0, -eps * (d + 1), 4.0 + eps * beta, -eps * (d + 5), 2.0 - eps * eps + eps * beta)
-    positivity_ok = eps > 2.0 * beta / d
-    note = "" if positivity_ok else "eps <= 2 beta / d: kappa at t=0 is not positive"
-    return _certify(coeffs, "double_well", float(eps), int(d), float(beta),
-                    eps * d - 2.0 * beta, extra_ok=positivity_ok, extra_note=note)
+    return _certify("double_well", eps, d, beta)

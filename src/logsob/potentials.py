@@ -36,16 +36,19 @@ def jacobi_eigenvalues(matrix: Array) -> Array:
     """Eigenvalues of a real symmetric matrix, ascending, by LAPACK
     ``eigvalsh`` (only the lower triangle is read).
 
-    Raises EvaluationError when LAPACK does not converge, which a matrix
-    holding nan can cause."""
+    Raises EvaluationError when the matrix is not finite: LAPACK then
+    either does not converge or returns eigenvalues that are wrong."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("jacobi_eigenvalues expects a square matrix")
     try:
-        return np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(f"symmetric eigensolve failed ({exc})", point=None) from None
+    if not np.isfinite(a).all():
+        raise EvaluationError("symmetric eigensolve of a non-finite matrix", point=None)
+    return w
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,30 @@ def test_eigensolve_failure_exits_one_with_manifest(capsys):
     assert error.startswith("EvaluationError") and "did not converge" in error
 
 
+def test_numpy_warnings_go_into_the_manifest(capsys):
+    # the same command: numpy warns of overflow before the eigensolve fails
+    code, _, err = run(
+        capsys, "bound",
+        "--potential", "family=subbotin alpha=1000 dim=8",
+        "--perturbation", "perturbation=arctan eps=0.3",
+    )
+    assert code == 1
+    assert err.endswith("\n") and err.count("\n") == 1
+    warned = json.loads(err)["warnings"]
+    assert "RuntimeWarning: overflow encountered in power" in warned
+    assert len(set(warned)) == len(warned)
+
+
+def test_sweep_envelope_violation_exits_one_with_manifest(capsys, monkeypatch):
+    from logsob import bounds
+    monkeypatch.setattr(bounds, "envelope_constant", lambda family, beta=None: 1e-9)
+    code, out, err = run(capsys, "sweep", "--family", "quadric", "--dims", "1:2")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("EvaluationError") and "exceeds envelope" in error
+
+
 # --- CSV cells -----------------------------------------------------------------
 
 def test_csv_cell_non_finite_and_non_float():

@@ -11,6 +11,7 @@ from logsob.curvature import (
     Certificate,
     SearchConfig,
     _check_radial_reduction,
+    _nonneg_on_halfline,
     _radial_objective,
     _radial_search,
     certify_double_well,
@@ -199,6 +200,13 @@ def test_certify_quadric_rejects_bad_params():
         certify_quadric(0.5, 0)
 
 
+def test_certify_non_finite_and_huge_eps():
+    with pytest.raises(ParameterError, match="finite"):
+        certify_quadric(math.inf, 2)
+    # eps^2 overflows, so g(0) = -inf: a verdict, not an error
+    assert not certify_double_well(1e200, 2, 0.1).valid
+
+
 def test_certificate_coefficients_pinned():
     eps, d = 0.3, 5
     cert = certify_quadric(eps, d)
@@ -280,6 +288,95 @@ def test_root_isolation_matches_grid_sign_oracle():
         assert cert.nonneg_on_halfline == (gmin > 0), (d, eps, beta, gmin)
         checked += 1
     assert checked > 400
+
+
+# --- the exact nonnegativity test against sympy --------------------------------
+
+def sympy_nonneg(coeffs):
+    """g >= 0 on [0, inf) for the exact rational value of the float
+    coefficients (highest degree first), from sympy's real roots."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    g = sympy.Poly([sympy.Rational(*float(c).as_integer_ratio()) for c in coeffs], t)
+    if g.LC() <= 0 or g.eval(0) < 0:
+        return False
+    return all(m % 2 == 0 for r, m in sympy.real_roots(g, multiple=False) if r > 0)
+
+
+def from_roots(lead, roots):
+    """Float coefficients, highest degree first, of lead * prod (t - r)^m."""
+    c = np.asarray([lead], dtype=object)
+    for r, m in roots:
+        for _ in range(m):
+            c = np.convolve(c, np.asarray([1, -r], dtype=object))
+    return tuple(float(x) for x in c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 64), eps=st.floats(0.01, 1.6), beta=st.floats(0.0, 0.499),
+       quadric=st.booleans())
+def test_certificate_verdict_matches_sympy(d, eps, beta, quadric):
+    cert = certify_quadric(eps, d) if quadric else certify_double_well(eps, d, beta)
+    assert cert.nonneg_on_halfline == sympy_nonneg(cert.coefficients)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lead=st.sampled_from([1, 2, 3, -1]),
+       roots=st.lists(st.tuples(st.fractions(-3, 3, max_denominator=8), st.integers(1, 4)),
+                      min_size=1, max_size=3, unique_by=lambda rm: rm[0]))
+def test_multiple_roots_match_sympy(lead, roots):
+    coeffs = from_roots(lead, roots)
+    assert _nonneg_on_halfline(coeffs) == sympy_nonneg(coeffs)
+
+
+@pytest.mark.parametrize("roots,expected", [
+    ([(1, 2)], True),              # (t-1)^2
+    ([(1, 3)], False),             # (t-1)^3
+    ([(1, 4)], True),              # (t-1)^4
+    ([(0, 1), (1, 3)], False),     # t (t-1)^3
+    ([(-1, 1), (1, 2)], True),     # (t+1) (t-1)^2: the odd root is negative
+    ([(1, 3), (2, 1)], False),     # g(0) > 0, odd roots at 1 and 2
+])
+def test_multiple_roots_pinned(roots, expected):
+    assert _nonneg_on_halfline(from_roots(1, roots)) is expected
+
+
+def test_last_ulp_cells_decided_exactly():
+    # g has two roots near t = 0.81294 and dips to -8.8e-16 between them
+    cert = certify_quadric(0.3502034993871258, 8)
+    assert not cert.nonneg_on_halfline and not cert.valid
+    # g > 0 on [0, inf) although it comes within rounding of zero
+    assert certify_quadric(0.66944546440606, 2).valid
+
+
+def bisect_tangency(certify, lo, hi):
+    """Adjacent floats lo < hi with certify(lo) nonnegative and certify(hi) not."""
+    assert certify(lo).nonneg_on_halfline and not certify(hi).nonneg_on_halfline
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if certify(mid).nonneg_on_halfline:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("d,beta", [(1, None), (2, None), (8, None), (64, None),
+                                    (2, 0.05), (8, 0.25), (31, 0.45)])
+def test_cells_around_bisected_tangency_match_sympy(d, beta):
+    if beta is None:
+        certify = lambda e: certify_quadric(e, d)
+    else:
+        certify = lambda e: certify_double_well(e, d, beta)
+    eps = bisect_tangency(certify, 0.5 / (d + 1), 1.5)
+    cells = [eps]
+    for _ in range(3):
+        cells = [math.nextafter(cells[0], 0.0)] + cells + [math.nextafter(cells[-1], 2.0)]
+    for e in cells:
+        cert = certify(e)
+        assert cert.nonneg_on_halfline == sympy_nonneg(cert.coefficients), (d, beta, e)
+        assert cert.nonneg_on_halfline == (e <= eps)
 
 
 # --- certificate-grid agreement ---------------------------------------------------

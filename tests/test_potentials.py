@@ -150,6 +150,10 @@ def test_jacobi_failure_is_an_evaluation_error():
     # LAPACK does not converge on this matrix and raises LinAlgError
     with pytest.raises(EvaluationError, match="did not converge"):
         jacobi_eigenvalues(np.diag([1.0, np.nan, 2.0]))
+    # on these LAPACK converges, to [0, -0] and [nan, nan]
+    for m in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            jacobi_eigenvalues(np.array(m))
 
 
 def test_radial_symmetry_under_rotations():
