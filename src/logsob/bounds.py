@@ -287,12 +287,8 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None):
         return SweepRow(d=d, eps=eps, kappa=kappa_val, bound=rep.constant,
                         envelope=env, valid=rep.valid, certified=rep.certified)
 
-    workers = worker_count()
-    if workers > 1 and len(dims) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, dims))
-    else:
-        rows = [row(d) for d in dims]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        rows = list(pool.map(row, dims))
     for r in rows:
         if r.valid and r.bound > r.envelope * (1.0 + 1e-12):
             raise EvaluationError(f"bound {r.bound} exceeds envelope {r.envelope} at d={r.d}",

@@ -179,7 +179,7 @@ def _cmd_bound(args) -> tuple:
     }
     chosen = list(methods) if args.method == "all" else [args.method]
     reports = [methods[m]() for m in chosen]
-    return dumps([_jsonable(r) for r in reports]), True
+    return dumps(reports), True
 
 
 def _cmd_certify(args) -> tuple:
@@ -296,7 +296,7 @@ def _cmd_verify(args) -> tuple:
         rep = lsi_audit(p, bound, samples, seed=args.seed)
     else:
         raise ParameterError("check must be representation, martingale, monotone or audit")
-    return dumps(_jsonable(rep)), bool(rep.passed)
+    return dumps(rep), bool(rep.passed)
 
 
 def _audit_bound(p, a):

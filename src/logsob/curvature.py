@@ -45,7 +45,7 @@ the certificate fails, or for ``kappa_tilde``, the radial grid decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -249,8 +249,7 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
         rep = _radial_search(p, a, weight, cfg)
     else:
         rep = _multistart_search(p, a, weight, cfg)
-    return CurvatureReport(kind=kind, value=rep.value, argmin=rep.argmin,
-                           method=rep.method, certified=rep.certified, details=rep.details)
+    return replace(rep, kind=kind)
 
 
 def kappa(p: Potential, a: Perturbation, cfg: Optional[SearchConfig] = None) -> CurvatureReport:

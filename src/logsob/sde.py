@@ -28,12 +28,13 @@ Determinism: the Gaussian increment for (path, step) is a fixed function
 of (seed, path block, step) through the Philox streams of
 :mod:`logsob.rng`, so path records are bit-identical for a given
 ``SdeConfig`` no matter how many workers run, and runs sharing a config
-share their Brownian increments (common random numbers).
+share their Brownian increments (common random numbers).  Every block
+integrates in place on its own rows of the one :class:`PathBatch`.
 
 Paths whose state leaves |x| <= 1e8 or turns non-finite are frozen,
 flagged divergent, and excluded from estimates; estimates with more than
 0.1% divergent paths are marked unreliable instead of being silently
-averaged.
+averaged, and the checks of :mod:`logsob.verify` fail on them.
 """
 
 from __future__ import annotations
@@ -100,28 +101,27 @@ class SmoothFunction:
     gradient: Callable
 
 
+@dataclass(eq=False)
 class PathBatch:
     """Terminal data of a family of paths, stored columnwise.
 
     ``checkpoint_log_weights`` maps requested times to the log-weight
     arrays recorded there.  ``j_t`` is None when the batch was simulated
-    without the tangent flow.
+    without the tangent flow, ``log_weight_stochastic`` when the Ito form
+    was not tracked.  Unweighted paths (plain, or a = 1) keep every weight
+    array at zero: R = 1 exactly.
     """
 
-    def __init__(self, x_t, j_t, log_weight, psi_integral, divergent, cfg, variant,
-                 checkpoint_log_weights, log_weight_stochastic, observed_sup_log_grad,
-                 g_condition_exceeded):
-        self.x_t = x_t
-        self.j_t = j_t
-        self.girsanov_log_weight = log_weight
-        self.psi_integral = psi_integral
-        self.divergent = divergent
-        self.cfg = cfg
-        self.variant = variant
-        self.checkpoint_log_weights = checkpoint_log_weights
-        self.log_weight_stochastic = log_weight_stochastic
-        self.observed_sup_log_grad = observed_sup_log_grad
-        self.g_condition_exceeded = g_condition_exceeded
+    cfg: SdeConfig
+    x_t: np.ndarray
+    j_t: Optional[np.ndarray]
+    girsanov_log_weight: np.ndarray
+    psi_integral: np.ndarray
+    divergent: np.ndarray
+    checkpoint_log_weights: dict
+    log_weight_stochastic: Optional[np.ndarray]
+    observed_sup_log_grad: float = 0.0
+    g_condition_exceeded: bool = False
 
     def __len__(self):
         return self.x_t.shape[0]
@@ -140,84 +140,66 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
              max_workers: Optional[int] = None, tangent: bool = True) -> PathBatch:
     """Run all paths of ``cfg`` and return their terminal records.
 
-    With ``tangent=False`` the tangent flow is not integrated and the
-    batch's ``j_t`` is None; every other output is bit-identical.
+    The path blocks run on ``max_workers`` threads (default
+    :func:`~logsob.threads.worker_count`).  With ``tangent=False`` the
+    tangent flow is not integrated and the batch's ``j_t`` is None; every
+    other output is bit-identical.
     """
     if variant not in ("plain", "perturbed"):
         raise ParameterError("variant must be 'plain' or 'perturbed'")
     if cfg.dim != p.dim:
         raise ParameterError(f"x0 has dimension {cfg.dim}, potential has {p.dim}")
-    n, d, n_steps = cfg.n_paths, cfg.dim, cfg.n_steps
+    workers = worker_count() if max_workers is None else max_workers
+    if workers < 1:
+        raise ParameterError("max_workers must be at least 1")
+    n, d = cfg.n_paths, cfg.dim
     checkpoint_steps = {}
     for t in checkpoint_times:
         k = int(round(t / cfg.dt_eff))
-        if not 0 < k <= n_steps:
+        if not 0 < k <= cfg.n_steps:
             raise ParameterError(f"checkpoint time {t} outside (0, horizon]")
         checkpoint_steps[float(t)] = k
 
-    # unweighted paths (plain, or a = 1) keep these zero: R = 1 exactly
     weighted = variant == "perturbed" and a.family != "identity"
-    x_t = np.empty((n, d))
-    j_t = np.empty((n, d, d)) if tangent else None
-    log_w = np.zeros(n)
-    psi_int = np.zeros(n)
-    divergent = np.zeros(n, dtype=bool)
-    cp_logs = {t: np.zeros(n) for t in checkpoint_steps}
-    stoch = np.zeros(n) if track_stochastic_weight else None
-
-    blocks = rng.block_ranges(n)
-    observed_lg = [0.0] * len(blocks)
-
-    def run_and_store(idx_block):
-        idx, (b, lo, hi) = idx_block
-        out = _run_block(p, a, cfg, weighted, b, lo, hi, checkpoint_steps,
-                         track_stochastic_weight, tangent)
-        x_t[lo:hi] = out["x_t"]
-        if tangent:
-            j_t[lo:hi] = out["j_t"]
-        divergent[lo:hi] = out["divergent"]
-        if weighted:
-            log_w[lo:hi] = out["log_w"]
-            psi_int[lo:hi] = out["psi_int"]
-            for t, arr in out["checkpoints"].items():
-                cp_logs[t][lo:hi] = arr
-            if stoch is not None:
-                stoch[lo:hi] = out["stoch"]
-            observed_lg[idx] = out["observed_lg"]
-
-    workers = max_workers if max_workers is not None else worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_and_store, enumerate(blocks)))
-    else:
-        for idx_block in enumerate(blocks):
-            run_and_store(idx_block)
-
-    observed = max(observed_lg)
+    batch = PathBatch(
+        cfg=cfg,
+        x_t=np.tile(np.asarray(cfg.x0, dtype=float), (n, 1)),
+        j_t=np.tile(np.eye(d), (n, 1, 1)) if tangent else None,
+        girsanov_log_weight=np.zeros(n),
+        psi_integral=np.zeros(n),
+        divergent=np.zeros(n, dtype=bool),
+        checkpoint_log_weights={t: np.zeros(n) for t in checkpoint_steps},
+        log_weight_stochastic=np.zeros(n) if track_stochastic_weight else None,
+    )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        observed = max(pool.map(
+            lambda block: _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch),
+            rng.block_ranges(n)))
+    batch.observed_sup_log_grad = observed
     # post hoc admissibility: the visited states must not reveal a larger
     # |grad a|/a than the norm the weights were justified with
-    exceeded = observed > a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12
-    return PathBatch(x_t, j_t, log_w, psi_int, divergent, cfg, variant,
-                     checkpoint_log_weights=cp_logs, log_weight_stochastic=stoch,
-                     observed_sup_log_grad=observed, g_condition_exceeded=exceeded)
+    batch.g_condition_exceeded = observed > a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12
+    return batch
 
 
-def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch, tangent):
-    """One block of paths.  Unweighted blocks return only ``x_t``, ``j_t``
-    and ``divergent``; the caller's zero-initialised weight arrays stand."""
+def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
+    """Integrate the paths of ``block`` = (b, lo, hi) in place on rows
+    lo:hi of ``batch``, which hold the initial state, and return the sup of
+    |grad a|/a they visited (0 on unweighted paths, whose zero weight rows
+    stand)."""
+    b, lo, hi = block
     n = hi - lo
-    d = cfg.dim
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
-    sqrt_dt = math.sqrt(dt)
-    n_steps = cfg.n_steps
 
-    x = np.tile(np.asarray(cfg.x0, dtype=float), (n, 1))
-    j = np.tile(np.eye(d), (n, 1, 1)) if tangent else None
+    x = batch.x_t[lo:hi]
+    j = None if batch.j_t is None else batch.j_t[lo:hi]
     # scratch of the tangent update, reused on every step
-    work = (np.empty_like(j), np.empty_like(j)) if tangent else None
+    work = None if j is None else (np.empty_like(j), np.empty_like(j))
     alive = np.ones(n, dtype=bool)
     grad = np.asarray(p.gradient(x), dtype=float)
+    observed_lg = 0.0
+    step_of = {}
     # running trapezoid sum: half weight on the initial state, full weights
     # after each step; the half weight of the current endpoint is removed
     # whenever the integral is materialized
@@ -229,27 +211,22 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
         psi_last = psi_x
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         observed_lg = float(np.max(lg_norm2)) ** 0.5
-    track_stoch = track_stoch and weighted
-    stoch = np.zeros(n) if track_stoch else None
+        for t, k in checkpoint_steps.items():
+            step_of.setdefault(k, []).append(t)
+    track_stoch = weighted and batch.log_weight_stochastic is not None
 
     def log_weight():
         """(log R, int psi ds) at the current state."""
         integral = dt * (psi_sum - 0.5 * psi_last)
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
-    checkpoints = {}
-    step_of = {}
-    if weighted:
-        for t, k in checkpoint_steps.items():
-            step_of.setdefault(k, []).append(t)
-
-    for k in range(n_steps):
-        xi = rng.step_normals(cfg.seed, block, k, n, d)
+    for k in range(cfg.n_steps):
+        xi = rng.step_normals(cfg.seed, b, k, n, cfg.dim)
         drift = grad + 2.0 * lg if weighted else grad
         if track_stoch:
-            stoch_inc = (math.sqrt(2.0) * sqrt_dt * np.einsum("ni,ni->n", lg, xi)
+            stoch_inc = (math.sqrt(2.0) * math.sqrt(dt) * np.einsum("ni,ni->n", lg, xi)
                          - dt * lg_norm2)
-            stoch = stoch + np.where(alive, stoch_inc, 0.0)
+            batch.log_weight_stochastic[lo:hi] += np.where(alive, stoch_inc, 0.0)
         x_new = x + sqrt_2dt * xi - dt * drift
 
         with np.errstate(invalid="ignore", over="ignore"):
@@ -259,7 +236,7 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
         # where=True while every path is alive: numpy's masked loops cost
         # several times the plain ones
         everyone = bool(alive.all())
-        if tangent:
+        if j is not None:
             _tangent_step(p, j, x, dt, True if everyone else alive[:, None, None], work)
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
         grad = np.asarray(p.gradient(x), dtype=float)
@@ -272,14 +249,12 @@ def _run_block(p, a, cfg, weighted, block, lo, hi, checkpoint_steps, track_stoch
             psi_sum = psi_sum + np.where(alive, psi_x, 0.0)
             psi_last = np.where(alive, psi_x, psi_last)
         for t in step_of.get(k + 1, ()):
-            checkpoints[t] = log_weight()[0]
+            batch.checkpoint_log_weights[t][lo:hi] = log_weight()[0]
 
-    out = {"x_t": x, "j_t": j, "divergent": ~alive}
+    batch.divergent[lo:hi] = ~alive
     if weighted:
-        log_w, psi_int = log_weight()
-        out.update(log_w=log_w, psi_int=psi_int, checkpoints=checkpoints, stoch=stoch,
-                   observed_lg=observed_lg)
-    return out
+        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = log_weight()
+    return observed_lg
 
 
 def _tangent_step(p, j, x, dt, keep, work):
@@ -318,6 +293,11 @@ class EstimateResult:
     reliable: bool
 
 
+def few_divergent(divergent: np.ndarray) -> bool:
+    """The reliability rule: at most MAX_DIVERGENT_FRACTION of the paths diverged."""
+    return int(np.sum(divergent)) / divergent.size <= MAX_DIVERGENT_FRACTION
+
+
 def _reduce(values: np.ndarray, divergent: np.ndarray) -> EstimateResult:
     valid = ~divergent
     n_valid = int(np.sum(valid))
@@ -326,9 +306,8 @@ def _reduce(values: np.ndarray, divergent: np.ndarray) -> EstimateResult:
     vals = np.asarray(values)[valid]
     mean = np.mean(vals, axis=0)
     se = np.std(vals, axis=0, ddof=1) / math.sqrt(n_valid)
-    n_divergent = divergent.size - n_valid
-    return EstimateResult(mean=mean, std_error=se, n_valid=n_valid, n_divergent=n_divergent,
-                          reliable=n_divergent / divergent.size <= MAX_DIVERGENT_FRACTION)
+    return EstimateResult(mean=mean, std_error=se, n_valid=n_valid,
+                          n_divergent=divergent.size - n_valid, reliable=few_divergent(divergent))
 
 
 def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
@@ -371,8 +350,8 @@ def payoff_weighted_tangent_gradient(f: SmoothFunction):
 def estimate_fk_gradient(p: Potential, a: Perturbation, f: SmoothFunction,
                          cfg: SdeConfig) -> EstimateResult:
     """Monte Carlo estimate of E[R J grad f(X_T)] on perturbed paths."""
-    batch = simulate(p, a, cfg, variant="perturbed")
-    return _reduce(payoff_weighted_tangent_gradient(f)(batch), batch.divergent)
+    return estimate_expectation(p, a, cfg, payoff_weighted_tangent_gradient(f),
+                               variant="perturbed")
 
 
 def estimate_gradient_fd(p: Potential, cfg: SdeConfig, f: SmoothFunction) -> EstimateResult:

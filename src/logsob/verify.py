@@ -33,11 +33,13 @@ from .errors import EstimationError, ParameterError, PreconditionError
 from .perturbations import Perturbation, check_G
 from .potentials import Potential
 from .sde import (
+    MAX_DIVERGENT_FRACTION,
     SdeConfig,
     SmoothFunction,
     estimate_expectation,
     estimate_fk_gradient,
     estimate_gradient_fd,
+    few_divergent,
     payoff_tangent_gradient,
     payoff_terminal,
     simulate,
@@ -82,6 +84,16 @@ def _within(lhs, rhs, se_l, se_r, dt):
     return bool(np.all(np.abs(np.asarray(lhs) - np.asarray(rhs)) <= tol))
 
 
+_DIVERGED = f"more than {MAX_DIVERGENT_FRACTION:.1%} of the paths diverged"
+
+
+def _flagged(**estimates) -> dict:
+    """``{"flagged": [reason]}`` when an estimate is marked unreliable, else
+    ``{}``: the entry a report's details gain, and its check fails with."""
+    unreliable = [name for name, est in estimates.items() if not est.reliable]
+    return {"flagged": [f"{_DIVERGED}: {', '.join(unreliable)}"]} if unreliable else {}
+
+
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
                          cfg: SdeConfig) -> CheckReport:
     """Three estimators of grad E[f(X_T^x)] at x = x0 must agree pairwise:
@@ -107,6 +119,7 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         name: _within(e1.mean, e2.mean, e1.std_error, e2.std_error, dt)
         for name, (e1, e2) in pairs.items()
     }
+    flagged = _flagged(plain=est_plain, perturbed=est_pert, fd=est_fd)
     return CheckReport(
         name="representation",
         lhs=est_plain.mean, rhs=est_pert.mean,
@@ -114,13 +127,14 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         tolerance_model=(f"|lhs - rhs| <= {K_SIGMA:g} * sigma_combined + {C_DT:g} * dt "
                          "componentwise"),
         k=K_SIGMA, c_dt=C_DT,
-        passed=all(verdicts.values()),
+        passed=all(verdicts.values()) and not flagged,
         n_paths=cfg.n_paths, dt=dt, seed=cfg.seed,
         details={
             "fd_estimate": est_fd.mean,
             "fd_stderr": est_fd.std_error,
             "pairwise": verdicts,
             "f": f.name,
+            **flagged,
         },
     )
 
@@ -143,14 +157,19 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
         ses[t] = float(np.std(r, ddof=1) / math.sqrt(r.size))
         ok = ok and abs(means[t] - 1.0) <= K_SIGMA * ses[t]
     last = sorted(means)[-1]
+    flags = [] if few_divergent(batch.divergent) else [_DIVERGED]
+    if batch.g_condition_exceeded:
+        flags.append(f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
+                     f"sup {a.sup_log_grad.value:.6g} the weights assume")
     return CheckReport(
         name="martingale",
         lhs=np.asarray(means[last]), rhs=np.asarray(1.0),
         lhs_stderr=np.asarray(ses[last]), rhs_stderr=np.asarray(0.0),
         tolerance_model=f"|mean(R_t) - 1| <= {K_SIGMA:g} * stderr at each checkpoint",
-        k=K_SIGMA, c_dt=0.0, passed=bool(ok),
+        k=K_SIGMA, c_dt=0.0, passed=bool(ok) and not flags,
         n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
-        details={"means": means, "stderrs": ses, "n_divergent": batch.n_divergent},
+        details={"means": means, "stderrs": ses, "n_divergent": batch.n_divergent,
+                 **({"flagged": flags} if flags else {})},
     )
 
 
@@ -187,7 +206,8 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
                                tangent=False)
     rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain", tangent=False)
     sigma = math.sqrt(float(lhs.std_error) ** 2 + float(rhs.std_error) ** 2)
-    passed = float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma
+    flagged = _flagged(perturbed=lhs, plain=rhs)
+    passed = float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma and not flagged
     return CheckReport(
         name="monotone_comparison",
         lhs=lhs.mean, rhs=rhs.mean,
@@ -195,7 +215,7 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
         tolerance_model=f"one-sided: lhs <= rhs + {K_SIGMA:g} * sigma_combined",
         k=K_SIGMA, c_dt=0.0, passed=bool(passed),
         n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
-        details={"f": f.name, "note": a_note},
+        details={"f": f.name, "note": a_note, **flagged},
     )
 
 

@@ -334,6 +334,23 @@ def test_verify_martingale_small_run(capsys):
     assert rep["name"] == "martingale"
 
 
+@pytest.mark.parametrize("check", ["monotone", "representation"])
+def test_verify_fails_on_unreliable_estimates(capsys, check):
+    # dt 0.3 is past the explicit Euler stability limit of the quartic: about
+    # 1% of the paths diverge, above the 0.1% reliability threshold
+    code, out, _ = run(
+        capsys, "verify", "--check", check,
+        "--potential", "family=subbotin alpha=4 dim=1",
+        "--perturbation", "perturbation=arctan eps=0.5",
+        "--t", "3", "--dt", "0.3", "--paths", "2000", "--seed", "47", "--f", "one-plus-tanh",
+    )
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["passed"] is False
+    [reason] = rep["details"]["flagged"]
+    assert reason.startswith("more than 0.1% of the paths diverged")
+
+
 def test_verify_monotone_d2_exits_one(capsys):
     code, _, err = run(
         capsys, "verify", "--check", "monotone",

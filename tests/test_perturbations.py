@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsob.errors import EvaluationError, ParameterError
 from logsob.perturbations import (
+    ARCTAN_EPS_MAX,
     arctan_perturbation,
     check_BM,
     check_G,
@@ -259,6 +262,15 @@ def test_parse_render_round_trip(text):
     a = parse_perturbation(text)
     b = parse_perturbation(render_perturbation(a))
     assert a.family == b.family and a.params == b.params
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, ARCTAN_EPS_MAX, exclude_min=True, exclude_max=True))
+def test_arctan_parse_render_round_trip_property(eps):
+    text = render_perturbation(arctan_perturbation(eps))
+    b = parse_perturbation(text)
+    assert (b.family, b.params) == ("arctan", {"eps": eps})
+    assert render_perturbation(b) == text
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsob.errors import EvaluationError, ParameterError
 from logsob.potentials import (
@@ -259,6 +261,28 @@ def test_parse_render_round_trip(text):
     assert q.family == p.family
     assert q.dim == p.dim
     assert q.params == p.params
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+# each built-in family with the open range its parameter accepts
+_FAMILIES = st.one_of(
+    st.tuples(st.just("gaussian"), st.just("rho"), _open(0.0, 1e300)),
+    st.tuples(st.just("subbotin"), st.just("alpha"), _open(2.0, 1e300)),
+    st.tuples(st.just("double_well"), st.just("beta"), _open(0.0, 0.5)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_FAMILIES, st.integers(1, 64))
+def test_parse_render_round_trip_property(family_param, dim):
+    family, name, value = family_param
+    text = render_potential(make_potential(family, dim, **{name: value}))
+    q = parse_potential(text)
+    assert (q.family, q.dim, q.params) == (family, dim, {name: value})
+    assert render_potential(q) == text
 
 
 @pytest.mark.parametrize(

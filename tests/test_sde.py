@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logsob.errors import EstimationError, ParameterError
 from logsob.perturbations import arctan_perturbation, identity_perturbation
@@ -82,6 +85,42 @@ def test_determinism_across_worker_counts():
         # skipping the tangent flow leaves every other output bit-identical
         for other in threaded + lean:
             _assert_same_paths(b1, other)
+
+
+def _same_bits(u, v):
+    if isinstance(u, dict):
+        return u.keys() == v.keys() and all(_same_bits(u[k], v[k]) for k in u)
+    if isinstance(u, np.ndarray):
+        return (isinstance(v, np.ndarray) and u.dtype == v.dtype and u.shape == v.shape
+                and u.tobytes() == v.tobytes())
+    return type(u) is type(v) and u == v
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_paths=st.integers(1, 2 * BLOCK_PATHS + 1000).filter(lambda n: n % BLOCK_PATHS),
+       workers=st.integers(1, 3), tangent=st.booleans(),
+       variant=st.sampled_from(["plain", "perturbed"]))
+@example(n_paths=2 * BLOCK_PATHS + 1, workers=2, tangent=False, variant="perturbed")
+def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, tangent,
+                                                             variant):
+    p = make_potential("subbotin", 2, alpha=4.0)
+    cfg = SdeConfig(dt=0.01, horizon=0.02, n_paths=n_paths, seed=17, x0=(0.5, -0.5))
+
+    def run(max_workers):
+        return simulate(p, arctan_perturbation(0.4), cfg, variant=variant,
+                        track_stochastic_weight=True, checkpoint_times=(0.01, 0.02),
+                        max_workers=max_workers, tangent=tangent)
+
+    ref, other = run(1), run(workers)
+    for field in dataclasses.fields(ref):
+        assert _same_bits(getattr(ref, field.name), getattr(other, field.name)), field.name
+
+
+def test_worker_count_below_one_is_rejected():
+    p = make_potential("gaussian", 1, rho=1.0)
+    cfg = SdeConfig(dt=0.1, horizon=0.2, n_paths=4, seed=0, x0=(0.0,))
+    with pytest.raises(ParameterError, match="max_workers"):
+        simulate(p, identity_perturbation(), cfg, max_workers=0)
 
 
 def test_tangent_payoff_needs_tangent_flow():

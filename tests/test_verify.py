@@ -145,6 +145,36 @@ def test_martingale_refuses_violating_perturbation():
         martingale_check(p, a, cfg, checkpoints=(0.5,))
 
 
+def test_martingale_fails_when_paths_exceed_the_assumed_log_gradient():
+    # log a is a narrow bump centred at c, off the axes and the diagonal that
+    # the norm of a custom perturbation is probed on, so the probed sup of
+    # |grad a|/a is ~0 while paths started at c meet values of order 1 / s;
+    # the steps resolve the bump, so E[R_t] = 1 holds within the noise and
+    # only the observed norm fails the check
+    c, s = np.array([2.0, -2.0]), 0.1
+
+    def phi(x):
+        return np.exp(-np.sum((x - c) ** 2, axis=-1) / (2 * s**2))
+
+    a = make_custom_perturbation(
+        value=lambda x: np.exp(phi(x)),
+        gradient=lambda x: (np.exp(phi(x)) * -phi(x) / s**2)[..., None] * (x - c),
+        laplacian=lambda x: np.exp(phi(x)) * phi(x) * (
+            np.sum((x - c) ** 2, axis=-1) * (1 + phi(x)) / s**4 - 2 / s**2),
+        dim=2,
+    )
+    assert a.sup_log_grad.value < 1e-30
+    p = make_potential("gaussian", 2, rho=1.0)
+    cfg = SdeConfig(dt=1e-4, horizon=0.02, n_paths=2000, seed=3, x0=tuple(c))
+    rep = martingale_check(p, a, cfg, checkpoints=(0.01, 0.02))
+    assert all(abs(m - 1.0) <= 3.0 * rep.details["stderrs"][t]
+               for t, m in rep.details["means"].items())
+    assert rep.details["n_divergent"] == 0
+    assert not rep.passed
+    [reason] = rep.details["flagged"]
+    assert "|grad a|/a" in reason
+
+
 # --- monotone comparison --------------------------------------------------------
 
 def test_monotone_identity_trivial():
