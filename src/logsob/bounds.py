@@ -212,31 +212,25 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
 
 # --- epsilon optimization and sweeps -----------------------------------------
 
-# points of the eps grid on which the quadric objective's monotonicity is confirmed
-EPS_CONFIRM_GRID = 1024
-
-
 def optimize_epsilon(family: str, d: int, beta: Optional[float] = None):
     """Best admissible eps for the arctan perturbation and its bound.
 
-    quadric:      the objective 4 exp(eps pi/4) / (eps d) decreases in eps on
-                  the admissible interval, so eps* = 8 / (3 sqrt3 (d+1)).
+    quadric:      eps* = 8 / (3 sqrt3 (d+1)), the right end of the admissible
+                  interval.  The objective 4 exp(eps pi/4) / (eps d) has a
+                  derivative of the sign of pi/4 - 1/eps, so it decreases on
+                  (0, eps*] exactly when eps* < 4/pi, which is checked.
     double_well:  eps = 2/(d+1), giving kappa = 2d/(d+1) - 2 beta.
 
-    The monotonicity claim is confirmed on an eps grid, and the returned
-    bound is :func:`fk_bound` at eps*, so it is certified exactly when
-    ``kappa`` proves its curvature value.  For the d = 1 double well, where
-    the polynomial certificate fails, kappa comes from the radial grid and
-    the bound is valid but not certified.
+    The returned bound is :func:`fk_bound` at eps*, so it is certified
+    exactly when ``kappa`` proves its curvature value.  For the d = 1
+    double well, where the polynomial certificate fails, kappa comes from
+    the radial grid and the bound is valid but not certified.
     """
     if d < 1:
         raise ParameterError("d must be a positive integer")
     if family == "quadric":
         eps_star = 8.0 / (3.0 * SQ3 * (d + 1))
-        constant = 4.0 * math.exp(eps_star * math.pi / 4.0) / (eps_star * d)
-        eps_grid = np.linspace(eps_star / EPS_CONFIRM_GRID, eps_star, EPS_CONFIRM_GRID)
-        objective = 4.0 * np.exp(eps_grid * math.pi / 4.0) / (eps_grid * d)
-        if float(np.min(objective)) < constant - 1e-12 * constant:
+        if not eps_star < 4.0 / math.pi:
             raise EvaluationError("eps objective is not minimized at the right endpoint",
                                   point=None)
         p = make_potential("subbotin", d, alpha=4.0)

@@ -47,6 +47,8 @@ from .verify import (
     monotone_comparison,
     representation_check,
     sample_measure,
+    tanh_function,
+    tilt_function,
 )
 
 # rows per chunk of --emit-paths: small, so that writing starts soon after
@@ -140,27 +142,15 @@ def _named_function(name: str, dim: int) -> SmoothFunction:
             value=lambda x: x @ e1,
             gradient=lambda x: np.broadcast_to(e1, x.shape).copy(),
         )
+    # one-plus-tanh and exp-tilt are the audit family's tanh(shift=0) and
+    # e1 tilt at theta = 0.8; tanh differs from the first by a constant
     if name == "tanh":
-        return SmoothFunction(
-            "tanh",
-            value=lambda x: np.tanh(x[..., 0]),
-            gradient=lambda x: np.concatenate(
-                [(1.0 / np.cosh(x[..., 0]) ** 2)[..., None],
-                 np.zeros(x.shape[:-1] + (dim - 1,))], axis=-1),
-        )
+        return SmoothFunction("tanh", value=lambda x: np.tanh(x[..., 0]),
+                              gradient=tanh_function("tanh", 0.0).gradient)
     if name == "one-plus-tanh":
-        base = _named_function("tanh", dim)
-        return SmoothFunction(
-            "one-plus-tanh",
-            value=lambda x: 1.0 + base.value(x),
-            gradient=base.gradient,
-        )
+        return tanh_function("one-plus-tanh", 0.0)
     if name == "exp-tilt":
-        return SmoothFunction(
-            "exp-tilt",
-            value=lambda x: np.exp(0.4 * (x @ e1)),
-            gradient=lambda x: 0.4 * np.exp(0.4 * (x @ e1))[..., None] * e1,
-        )
+        return tilt_function("exp-tilt", 0.8, e1)
     raise ParameterError(f"unknown test function {name!r}; "
                          "choose linear, tanh, one-plus-tanh or exp-tilt")
 
@@ -287,7 +277,9 @@ def _cmd_verify(args) -> tuple:
     if args.check == "representation":
         rep = representation_check(p, a, f, cfg)
     elif args.check == "martingale":
-        rep = martingale_check(p, a, cfg, checkpoints=(args.t / 2, args.t))
+        # with one step the mid checkpoint would round to step 0
+        checkpoints = (args.t,) if cfg.n_steps == 1 else (args.t / 2, args.t)
+        rep = martingale_check(p, a, cfg, checkpoints)
     elif args.check == "monotone":
         rep = monotone_comparison(p, a, f, cfg)
     elif args.check == "audit":

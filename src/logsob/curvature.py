@@ -56,9 +56,11 @@ from .perturbations import Perturbation, psi, psi_radial
 from .potentials import Potential, jacobi_eigenvalues
 from .threads import worker_count
 
-# radial search: a logarithmic grid on [0, T_MAX], doubled while the
-# minimum sits at its edge, then golden-section refinement down to REFINE_TOL
+# radial search: a logarithmic grid on [0, T_MAX], doubled up to T_MAX_CAP
+# while the minimum sits at its edge, then golden-section refinement down
+# to REFINE_TOL
 T_MAX = 1e4
+T_MAX_CAP = 1e8
 GRID_POINTS = 8192
 REFINE_TOL = 1e-10
 # multistart search: Sobol starting points in the box [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d
@@ -67,11 +69,10 @@ BOX_HALFWIDTH = 8.0
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The settings of the global minimization that callers vary: the
-    largest radial grid edge and the number of multistart points.  The
-    other settings are the module constants above."""
+    """The setting of the global minimization that callers vary: the
+    number of multistart points.  The other settings are the module
+    constants above."""
 
-    t_max_cap: float = 1e8
     n_starts: int = 64
 
 
@@ -144,7 +145,7 @@ def _golden_refine(f, lo, hi, tol):
     return (c, fc) if fc <= fd else (d_, fd)
 
 
-def _radial_search(p, a, weight, cfg: SearchConfig):
+def _radial_search(p, a, weight):
     t_max = T_MAX
     doublings = 0
     while True:
@@ -155,7 +156,7 @@ def _radial_search(p, a, weight, cfg: SearchConfig):
         at_edge = idx >= grid.size - 2
         edge_decreasing = vals[-1] < vals[-2]
         near_edge_inf = vals[-1] <= best_v + 0.01 * max(1.0, abs(best_v))
-        if (at_edge or (edge_decreasing and near_edge_inf)) and t_max < cfg.t_max_cap:
+        if (at_edge or (edge_decreasing and near_edge_inf)) and t_max < T_MAX_CAP:
             t_max *= 2.0
             doublings += 1
             continue
@@ -229,11 +230,11 @@ def _quartic_certificate(p: Potential, a: Perturbation) -> Optional[Certificate]
 def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
                cfg: Optional[SearchConfig]) -> CurvatureReport:
     cfg = cfg or SearchConfig()
-    if a.family == "identity" and p.family in ("gaussian", "subbotin", "double_well"):
-        # the radial eigenvalue floor of the built-ins sits at t = 0
-        value = weight * float(p.radial.rho_minus(0.0))
+    if a.family == "identity" and p.hessian_lower_bound_exact:
+        # the built-ins' exact eigenvalue floor, which sits at t = 0
         return CurvatureReport(
-            kind=kind, value=value, argmin=0.0, method="radial_closed_form", certified=True,
+            kind=kind, value=weight * p.hessian_lower_bound, argmin=0.0,
+            method="radial_closed_form", certified=True,
             details={"note": "identity perturbation, built-in eigenvalue floor at t=0"},
         )
     # the certificate needs no radial reduction, so it runs before the
@@ -246,7 +247,7 @@ def _curvature(p: Potential, a: Perturbation, weight: float, kind: str,
     if p.radial is not None and a.radial is not None:
         if p.family != "custom":
             _check_radial_reduction(p, a, weight)
-        rep = _radial_search(p, a, weight, cfg)
+        rep = _radial_search(p, a, weight)
     else:
         rep = _multistart_search(p, a, weight, cfg)
     return replace(rep, kind=kind)

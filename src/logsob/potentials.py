@@ -176,19 +176,6 @@ def _double_well(beta: float, dim: int) -> Potential:
         lambda t: (np.full_like(np.asarray(t, dtype=float), 2.0), grad_coeff(t)), rho_minus))
 
 
-def _vectorize_point_fn(fn):
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(fn(x), dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        vals = [np.asarray(fn(p), dtype=float) for p in flat]
-        out = np.stack(vals)
-        return out.reshape(x.shape[:-1] + out.shape[1:])
-
-    return wrapped
-
-
 _CUSTOM_PROBE_GRID = np.concatenate([[0.0], np.logspace(-4, 4, 257)])
 
 
@@ -197,22 +184,18 @@ def make_custom_potential(
     value: Callable,
     gradient: Callable,
     hessian: Callable,
-    vectorized: bool = True,
     radial: Optional[Radial] = None,
 ) -> Potential:
     """Wrap user callables (value, gradient, Hessian) as a Potential.
 
-    The Hessian lower bound used by the non-explosion flag is estimated on
-    a fixed radial probe grid along the axes and is not certified.
-    ``radial`` may be supplied when the callables are known to be radially
-    symmetric; its closed forms are taken as given.
+    The callables take points batched over (..., d).  The Hessian lower
+    bound, which the Bakry-Emery and Holley-Stroock bounds read, is
+    estimated on a fixed radial probe grid along the first axis and is not
+    certified.  ``radial`` may be supplied when the callables are known to
+    be radially symmetric; its closed forms are taken as given.
     """
     if dim < 1:
         raise ParameterError("dim must be a positive integer (got %r)" % (dim,))
-    if not vectorized:
-        value = _vectorize_point_fn(value)
-        gradient = _vectorize_point_fn(gradient)
-        hessian = _vectorize_point_fn(hessian)
 
     # grid estimate of inf rho_-(hessian); heuristic, recorded as such
     floor = math.inf

@@ -32,9 +32,13 @@ share their Brownian increments (common random numbers).  Every block
 integrates in place on its own rows of the one :class:`PathBatch`.
 
 Paths whose state leaves |x| <= 1e8 or turns non-finite are frozen,
-flagged divergent, and excluded from estimates; estimates with more than
-0.1% divergent paths are marked unreliable instead of being silently
-averaged, and the checks of :mod:`logsob.verify` fail on them.
+flagged divergent, and excluded from estimates.  :func:`_reduce` is the one
+place that turns path values into an :class:`EstimateResult`: mean,
+standard error and ``flags``, the reasons its evidence is not to be
+trusted.  An estimate is flagged when more than 0.1% of its paths
+diverged, or when its perturbed paths visited a |grad a|/a above the sup
+``a.sup_log_grad`` that the weights assume; the checks of
+:mod:`logsob.verify` fail on any flag.
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
     for t in checkpoint_times:
         k = int(round(t / cfg.dt_eff))
         if not 0 < k <= cfg.n_steps:
-            raise ParameterError(f"checkpoint time {t} outside (0, horizon]")
+            raise ParameterError(f"checkpoint time {t} rounds to step {k}, outside the "
+                                 f"steps 1..{cfg.n_steps}")
         checkpoint_steps[float(t)] = k
 
     weighted = variant == "perturbed" and a.family != "identity"
@@ -286,19 +291,23 @@ def _tangent_step(p, j, x, dt, keep, work):
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """A Monte Carlo estimate; ``flags`` holds the reasons not to trust it
+    (empty when there are none)."""
+
     mean: np.ndarray
     std_error: np.ndarray
     n_valid: int
     n_divergent: int
-    reliable: bool
+    flags: tuple
 
 
-def few_divergent(divergent: np.ndarray) -> bool:
-    """The reliability rule: at most MAX_DIVERGENT_FRACTION of the paths diverged."""
-    return int(np.sum(divergent)) / divergent.size <= MAX_DIVERGENT_FRACTION
-
-
-def _reduce(values: np.ndarray, divergent: np.ndarray) -> EstimateResult:
+def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch] = None,
+            a: Optional[Perturbation] = None) -> EstimateResult:
+    """Mean and standard error of the per-path ``values`` over the paths
+    that did not diverge, with the reasons to distrust them: more than
+    MAX_DIVERGENT_FRACTION of the paths diverged, or the paths of ``batch``,
+    simulated with ``a``, visited a |grad a|/a above the sup the weights
+    assume."""
     valid = ~divergent
     n_valid = int(np.sum(valid))
     if n_valid < 2:
@@ -306,8 +315,14 @@ def _reduce(values: np.ndarray, divergent: np.ndarray) -> EstimateResult:
     vals = np.asarray(values)[valid]
     mean = np.mean(vals, axis=0)
     se = np.std(vals, axis=0, ddof=1) / math.sqrt(n_valid)
+    flags = []
+    if (divergent.size - n_valid) / divergent.size > MAX_DIVERGENT_FRACTION:
+        flags.append(f"more than {MAX_DIVERGENT_FRACTION:.1%} of the paths diverged")
+    if batch is not None and batch.g_condition_exceeded:
+        flags.append(f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
+                     f"sup {a.sup_log_grad.value:.6g} the weights assume")
     return EstimateResult(mean=mean, std_error=se, n_valid=n_valid,
-                          n_divergent=divergent.size - n_valid, reliable=few_divergent(divergent))
+                          n_divergent=divergent.size - n_valid, flags=tuple(flags))
 
 
 def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
@@ -318,7 +333,7 @@ def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
     Pass ``tangent=False`` when ``payoff`` does not read ``batch.j_t``.
     """
     batch = simulate(p, a, cfg, variant=variant, tangent=tangent)
-    return _reduce(payoff(batch), batch.divergent)
+    return _reduce(payoff(batch), batch.divergent, batch, a)
 
 
 def payoff_terminal(f: SmoothFunction):

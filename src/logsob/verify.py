@@ -13,6 +13,12 @@ c = C_DT = 5 are constants of the module, not defaults; checks without a
 discretization allowance record c = 0.  Every report records k, c, the
 sample sizes and the seed.
 
+The representation, martingale and monotone checks count as evidence only
+when their estimates do: each fails when an estimate it uses carries
+``flags`` (too many divergent paths, or paths that visited a |grad a|/a
+above the sup the weights assume; see :func:`logsob.sde._reduce`), and
+lists the reasons under ``details["flagged"]``.
+
 The audit direction is one-sided by construction: a sampled ratio below
 the bound never proves the bound, a ratio above it (beyond noise)
 falsifies it.  Reports say so.
@@ -33,13 +39,12 @@ from .errors import EstimationError, ParameterError, PreconditionError
 from .perturbations import Perturbation, check_G
 from .potentials import Potential
 from .sde import (
-    MAX_DIVERGENT_FRACTION,
     SdeConfig,
     SmoothFunction,
+    _reduce,
     estimate_expectation,
     estimate_fk_gradient,
     estimate_gradient_fd,
-    few_divergent,
     payoff_tangent_gradient,
     payoff_terminal,
     simulate,
@@ -84,14 +89,20 @@ def _within(lhs, rhs, se_l, se_r, dt):
     return bool(np.all(np.abs(np.asarray(lhs) - np.asarray(rhs)) <= tol))
 
 
-_DIVERGED = f"more than {MAX_DIVERGENT_FRACTION:.1%} of the paths diverged"
-
-
-def _flagged(**estimates) -> dict:
-    """``{"flagged": [reason]}`` when an estimate is marked unreliable, else
-    ``{}``: the entry a report's details gain, and its check fails with."""
-    unreliable = [name for name, est in estimates.items() if not est.reliable]
-    return {"flagged": [f"{_DIVERGED}: {', '.join(unreliable)}"]} if unreliable else {}
+def _sde_report(cfg: SdeConfig, passed: bool, estimates: dict, details: dict,
+                **fields) -> CheckReport:
+    """The report of a check on the paths of ``cfg``.  It fails whenever one
+    of the named ``estimates`` carries a flag; ``details["flagged"]`` then
+    lists each reason with the names of the estimates it flags."""
+    reasons = {}
+    for name, est in estimates.items():
+        for reason in est.flags:
+            reasons.setdefault(reason, []).append(name)
+    flagged = [f"{reason}: {', '.join(names)}" for reason, names in reasons.items()]
+    return CheckReport(
+        k=K_SIGMA, passed=bool(passed) and not flagged,
+        n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
+        details={**details, **({"flagged": flagged} if flagged else {})}, **fields)
 
 
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
@@ -119,23 +130,16 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         name: _within(e1.mean, e2.mean, e1.std_error, e2.std_error, dt)
         for name, (e1, e2) in pairs.items()
     }
-    flagged = _flagged(plain=est_plain, perturbed=est_pert, fd=est_fd)
-    return CheckReport(
+    return _sde_report(
+        cfg, all(verdicts.values()), {"plain": est_plain, "perturbed": est_pert, "fd": est_fd},
+        {"fd_estimate": est_fd.mean, "fd_stderr": est_fd.std_error, "pairwise": verdicts,
+         "f": f.name},
         name="representation",
         lhs=est_plain.mean, rhs=est_pert.mean,
         lhs_stderr=est_plain.std_error, rhs_stderr=est_pert.std_error,
         tolerance_model=(f"|lhs - rhs| <= {K_SIGMA:g} * sigma_combined + {C_DT:g} * dt "
                          "componentwise"),
-        k=K_SIGMA, c_dt=C_DT,
-        passed=all(verdicts.values()) and not flagged,
-        n_paths=cfg.n_paths, dt=dt, seed=cfg.seed,
-        details={
-            "fd_estimate": est_fd.mean,
-            "fd_stderr": est_fd.std_error,
-            "pairwise": verdicts,
-            "f": f.name,
-            **flagged,
-        },
+        c_dt=C_DT,
     )
 
 
@@ -147,29 +151,20 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
         raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
     batch = simulate(p, a, cfg, variant="perturbed", checkpoint_times=checkpoints,
                      tangent=False)
-    valid = ~batch.divergent
-    if int(valid.sum()) < 2:
-        raise EstimationError("too few valid paths")
-    means, ses, ok = {}, {}, True
-    for t in sorted(batch.checkpoint_log_weights):
-        r = np.exp(batch.checkpoint_log_weights[t][valid])
-        means[t] = float(np.mean(r))
-        ses[t] = float(np.std(r, ddof=1) / math.sqrt(r.size))
-        ok = ok and abs(means[t] - 1.0) <= K_SIGMA * ses[t]
-    last = sorted(means)[-1]
-    flags = [] if few_divergent(batch.divergent) else [_DIVERGED]
-    if batch.g_condition_exceeded:
-        flags.append(f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
-                     f"sup {a.sup_log_grad.value:.6g} the weights assume")
-    return CheckReport(
+    ests = {t: _reduce(np.exp(lw), batch.divergent, batch, a)
+            for t, lw in sorted(batch.checkpoint_log_weights.items())}
+    means = {t: float(est.mean) for t, est in ests.items()}
+    ses = {t: float(est.std_error) for t, est in ests.items()}
+    last = max(ests)
+    return _sde_report(
+        cfg, all(abs(means[t] - 1.0) <= K_SIGMA * ses[t] for t in ests),
+        {f"R({t:g})": est for t, est in ests.items()},
+        {"means": means, "stderrs": ses, "n_divergent": batch.n_divergent},
         name="martingale",
         lhs=np.asarray(means[last]), rhs=np.asarray(1.0),
         lhs_stderr=np.asarray(ses[last]), rhs_stderr=np.asarray(0.0),
         tolerance_model=f"|mean(R_t) - 1| <= {K_SIGMA:g} * stderr at each checkpoint",
-        k=K_SIGMA, c_dt=0.0, passed=bool(ok) and not flags,
-        n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
-        details={"means": means, "stderrs": ses, "n_divergent": batch.n_divergent,
-                 **({"flagged": flags} if flags else {})},
+        c_dt=0.0,
     )
 
 
@@ -206,16 +201,14 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
                                tangent=False)
     rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain", tangent=False)
     sigma = math.sqrt(float(lhs.std_error) ** 2 + float(rhs.std_error) ** 2)
-    flagged = _flagged(perturbed=lhs, plain=rhs)
-    passed = float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma and not flagged
-    return CheckReport(
+    return _sde_report(
+        cfg, float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma,
+        {"perturbed": lhs, "plain": rhs}, {"f": f.name, "note": a_note},
         name="monotone_comparison",
         lhs=lhs.mean, rhs=rhs.mean,
         lhs_stderr=lhs.std_error, rhs_stderr=rhs.std_error,
         tolerance_model=f"one-sided: lhs <= rhs + {K_SIGMA:g} * sigma_combined",
-        k=K_SIGMA, c_dt=0.0, passed=bool(passed),
-        n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
-        details={"f": f.name, "note": a_note, **flagged},
+        c_dt=0.0,
     )
 
 
@@ -375,45 +368,57 @@ def entropy_ratio(p: Potential, f: SmoothFunction, samples: np.ndarray,
     )
 
 
+def tilt_function(name: str, theta: float, u: np.ndarray) -> SmoothFunction:
+    """exp(theta <x, u> / 2)."""
+
+    def value(x):
+        return np.exp(0.5 * theta * (x @ u))
+
+    def gradient(x):
+        return 0.5 * theta * np.exp(0.5 * theta * (x @ u))[..., None] * u
+
+    return SmoothFunction(name, value, gradient)
+
+
+def tanh_function(name: str, shift: float) -> SmoothFunction:
+    """1 + tanh(x_1 - shift)."""
+
+    def gradient(x):
+        g = np.zeros_like(x)
+        g[..., 0] = 1.0 / np.cosh(x[..., 0] - shift) ** 2
+        return g
+
+    return SmoothFunction(name, lambda x: 1.0 + np.tanh(x[..., 0] - shift), gradient)
+
+
+def bump_function(name: str, width: float) -> SmoothFunction:
+    """0.1 + exp(-|x|^2 / (2 width^2))."""
+
+    def value(x):
+        return 0.1 + np.exp(-np.sum(x**2, axis=-1) / (2 * width * width))
+
+    def gradient(x):
+        return -(x / (width * width)) * np.exp(-np.sum(x**2, axis=-1)
+                                               / (2 * width * width))[..., None]
+
+    return SmoothFunction(name, value, gradient)
+
+
 def builtin_test_family(dim: int) -> list:
     """Deterministic family of smooth positive test functions used by the
-    audit: exponential tilts (they saturate the Gaussian constant), shifted
-    tanh profiles, and Gaussian bumps."""
-    fns = []
+    audit: exponential tilts (they saturate the Gaussian constant) along
+    e1 and, in d >= 2, the diagonal, shifted tanh profiles, and Gaussian
+    bumps.  Names are distinct; a tilt names its direction when d >= 2."""
     e1 = np.zeros(dim)
     e1[0] = 1.0
-    diag = np.full(dim, 1.0 / math.sqrt(dim))
-    for theta in (0.2, 0.4, 0.6, 0.8, 1.0):
-        for u in ([e1] if dim == 1 else [e1, diag]):
-            uu = u.copy()
-
-            def val(x, th=theta, v=uu):
-                return np.exp(0.5 * th * (x @ v))
-
-            def grad(x, th=theta, v=uu):
-                return 0.5 * th * np.exp(0.5 * th * (x @ v))[..., None] * v
-
-            fns.append(SmoothFunction(f"tilt(theta={theta:g})", val, grad))
-    for shift in (-1.0, 0.0, 1.0):
-
-        def val_t(x, s=shift):
-            return 1.0 + np.tanh(x[..., 0] - s)
-
-        def grad_t(x, s=shift):
-            g = np.zeros_like(x)
-            g[..., 0] = 1.0 / np.cosh(x[..., 0] - s) ** 2
-            return g
-
-        fns.append(SmoothFunction(f"tanh(shift={shift:g})", val_t, grad_t))
-    for width in (0.7, 1.5):
-
-        def val_b(x, w=width):
-            return 0.1 + np.exp(-np.sum(x**2, axis=-1) / (2 * w * w))
-
-        def grad_b(x, w=width):
-            return -(x / (w * w)) * np.exp(-np.sum(x**2, axis=-1) / (2 * w * w))[..., None]
-
-        fns.append(SmoothFunction(f"bump(width={width:g})", val_b, grad_b))
+    directions = {"e1": e1}
+    if dim > 1:
+        directions["diag"] = np.full(dim, 1.0 / math.sqrt(dim))
+    fns = [tilt_function(f"tilt(theta={theta:g})" if dim == 1
+                         else f"tilt(theta={theta:g}, u={label})", theta, u)
+           for theta in (0.2, 0.4, 0.6, 0.8, 1.0) for label, u in directions.items()]
+    fns += [tanh_function(f"tanh(shift={shift:g})", shift) for shift in (-1.0, 0.0, 1.0)]
+    fns += [bump_function(f"bump(width={width:g})", width) for width in (0.7, 1.5)]
     return fns
 
 

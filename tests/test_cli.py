@@ -334,6 +334,21 @@ def test_verify_martingale_small_run(capsys):
     assert rep["name"] == "martingale"
 
 
+def test_verify_martingale_single_step(capsys):
+    # with one step the only checkpoint is the horizon
+    code, out, err = run(
+        capsys, "verify", "--check", "martingale",
+        "--potential", "family=subbotin alpha=4 dim=2",
+        "--perturbation", "perturbation=identity",
+        "--t", "1", "--dt", "1", "--paths", "100", "--seed", "5",
+    )
+    assert "error" not in json.loads(err)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["passed"] is True
+    assert list(rep["details"]["means"]) == ["1.0"]
+
+
 @pytest.mark.parametrize("check", ["monotone", "representation"])
 def test_verify_fails_on_unreliable_estimates(capsys, check):
     # dt 0.3 is past the explicit Euler stability limit of the quartic: about

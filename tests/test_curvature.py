@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from logsob.curvature import (
     Certificate,
-    SearchConfig,
     _check_radial_reduction,
     _nonneg_on_halfline,
     _radial_objective,
@@ -57,7 +56,7 @@ def test_kappa_falls_back_to_grid_when_certificate_fails(p, eps):
     a = arctan_perturbation(eps)
     rep = kappa(p, a)
     assert rep.method == "radial_grid" and not rep.certified
-    assert rep.value == _radial_search(p, a, 2.0, SearchConfig()).value
+    assert rep.value == _radial_search(p, a, 2.0).value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -72,7 +71,7 @@ def test_certified_kappa_matches_radial_grid(d, scale, beta, quadric):
     else:
         p, cert = make_potential("double_well", d, beta=beta), certify_double_well(eps, d, beta)
     rep = kappa(p, a)
-    grid = _radial_search(p, a, 2.0, SearchConfig())
+    grid = _radial_search(p, a, 2.0)
     if cert.valid:
         assert rep.method == "polynomial_certificate" and rep.certified
         assert rep.value == cert.kappa_if_valid
@@ -440,7 +439,6 @@ def test_unbounded_below_detection():
         value=lambda x: -np.sum(x**2, axis=-1) ** 1.5 / 3.0,
         gradient=lambda x: -np.sqrt(np.sum(x**2, axis=-1))[..., None] * x,
         hessian=lambda x: -np.sqrt(np.sum(np.asarray(x) ** 2)) * np.eye(2),
-        vectorized=False,
         radial=Radial(
             value=lambda t: -np.asarray(t, dtype=float) ** 1.5 / 3.0,
             grad_coeff=lambda t: -np.sqrt(np.asarray(t, dtype=float)),
@@ -448,7 +446,7 @@ def test_unbounded_below_detection():
             rho_minus=lambda t: -np.sqrt(np.asarray(t, dtype=float)),
         ),
     )
-    rep = kappa(p, identity_perturbation(), SearchConfig(t_max_cap=1e6))
+    rep = kappa(p, identity_perturbation())
     assert rep.value == -math.inf
     assert rep.details.get("unbounded_below")
     assert not rep.certified

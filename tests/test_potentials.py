@@ -224,7 +224,6 @@ def test_custom_potential_wraps_callables():
         value=lambda x: 0.5 * float(np.sum(d * x**2)),
         gradient=lambda x: d * x,
         hessian=lambda x: np.diag(d),
-        vectorized=False,
     )
     x = np.array([1.0, 1.0])
     assert p.value(x) == pytest.approx(1.5)
@@ -239,7 +238,6 @@ def test_custom_asymmetric_hessian_rejected():
         value=lambda x: float(np.sum(x**2)),
         gradient=lambda x: 2 * x,
         hessian=lambda x: np.array([[2.0, 1e-6], [0.0, 2.0]]),
-        vectorized=False,
     )
     with pytest.raises(EvaluationError, match="symmetric"):
         rho_minus(p, np.ones(2))

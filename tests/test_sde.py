@@ -410,8 +410,15 @@ def test_unreliable_flag_when_divergence_exceeds_threshold():
     assert 0 < batch.n_divergent < 2000
     assert batch.n_divergent / 2000 > 1e-3
     est = estimate_expectation(p, identity_perturbation(), cfg, lambda b: np.ones(len(b)))
-    assert not est.reliable
+    assert est.flags == ("more than 0.1% of the paths diverged",)
     assert est.n_valid == 2000 - batch.n_divergent
+
+
+def test_checkpoint_rounding_to_step_zero_names_the_step():
+    p = make_potential("gaussian", 1, rho=1.0)
+    cfg = SdeConfig(dt=1.0, horizon=1.0, n_paths=10, seed=1, x0=(0.0,))
+    with pytest.raises(ParameterError, match="rounds to step 0"):
+        simulate(p, arctan_perturbation(0.3), cfg, variant="perturbed", checkpoint_times=(0.5,))
 
 
 def test_checkpoint_weights_recorded():

@@ -145,12 +145,13 @@ def test_martingale_refuses_violating_perturbation():
         martingale_check(p, a, cfg, checkpoints=(0.5,))
 
 
-def test_martingale_fails_when_paths_exceed_the_assumed_log_gradient():
-    # log a is a narrow bump centred at c, off the axes and the diagonal that
-    # the norm of a custom perturbation is probed on, so the probed sup of
-    # |grad a|/a is ~0 while paths started at c meet values of order 1 / s;
-    # the steps resolve the bump, so E[R_t] = 1 holds within the noise and
-    # only the observed norm fails the check
+def _bump_perturbation():
+    """A perturbation whose probed sup |grad a|/a (~0) misses what paths
+    started at the returned point visit.
+
+    log a is a narrow bump centred at c, off the axes and the diagonal that
+    the norm of a custom perturbation is probed on, so paths started at c
+    meet values of order 1 / s."""
     c, s = np.array([2.0, -2.0]), 0.1
 
     def phi(x):
@@ -164,8 +165,15 @@ def test_martingale_fails_when_paths_exceed_the_assumed_log_gradient():
         dim=2,
     )
     assert a.sup_log_grad.value < 1e-30
+    return a, tuple(c)
+
+
+def test_martingale_fails_when_paths_exceed_the_assumed_log_gradient():
+    # the steps resolve the bump, so E[R_t] = 1 holds within the noise and
+    # only the observed norm fails the check
+    a, x0 = _bump_perturbation()
     p = make_potential("gaussian", 2, rho=1.0)
-    cfg = SdeConfig(dt=1e-4, horizon=0.02, n_paths=2000, seed=3, x0=tuple(c))
+    cfg = SdeConfig(dt=1e-4, horizon=0.02, n_paths=2000, seed=3, x0=x0)
     rep = martingale_check(p, a, cfg, checkpoints=(0.01, 0.02))
     assert all(abs(m - 1.0) <= 3.0 * rep.details["stderrs"][t]
                for t, m in rep.details["means"].items())
@@ -173,6 +181,19 @@ def test_martingale_fails_when_paths_exceed_the_assumed_log_gradient():
     assert not rep.passed
     [reason] = rep.details["flagged"]
     assert "|grad a|/a" in reason
+
+
+def test_representation_fails_when_paths_exceed_the_assumed_log_gradient():
+    # the perturbed estimate's paths break the assumed norm; the plain and
+    # finite-difference estimates are not flagged
+    a, x0 = _bump_perturbation()
+    p = make_potential("gaussian", 2, rho=1.0)
+    cfg = SdeConfig(dt=1e-4, horizon=0.02, n_paths=2000, seed=3, x0=x0)
+    rep = representation_check(p, a, LINEAR2, cfg)
+    assert not rep.passed
+    [reason] = rep.details["flagged"]
+    assert "|grad a|/a" in reason
+    assert reason.endswith(": perturbed")
 
 
 # --- monotone comparison --------------------------------------------------------
@@ -347,6 +368,18 @@ def test_entropy_nonnegative_across_family():
 
 
 # --- audit ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_audit_reports_one_ratio_per_test_function(dim):
+    names = [f.name for f in builtin_test_family(dim)]
+    assert len(set(names)) == len(names) == (10 if dim == 1 else 15)
+    if dim == 1:
+        assert "tilt(theta=0.8)" in names
+    p = make_potential("gaussian", dim, rho=1.0)
+    rep = lsi_audit(p, bakry_emery_bound(p), sample_measure(p, 2_000, seed=5))
+    assert list(rep.details["ratios"]) == names
+    assert rep.details["worst_function"] in names
+
 
 def test_audit_gaussian_bound_two_saturating():
     p = make_potential("gaussian", 1, rho=1.0)

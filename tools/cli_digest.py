@@ -90,11 +90,14 @@ def _commands() -> list:
         cmds.append(["bound", "--potential", pot, "--perturbation", pert])
     cmds.append(["simulate", "--potential", "family=gaussian rho=1 dim=1",
                  "--perturbation", "perturbation=identity", "--x0", "abc", "--paths", "10"])
-    # checks on estimates flagged unreliable: about 1% of these paths diverge
-    for check in ("monotone", "representation"):
+    # checks on flagged estimates: about 1% of these paths diverge
+    for check in ("monotone", "representation", "martingale"):
         cmds.append(["verify", "--check", check, "--potential", "family=subbotin alpha=4 dim=1",
                      "--perturbation", "perturbation=arctan eps=0.5", "--t", "3", "--dt", "0.3",
                      "--paths", "2000", "--seed", "47", "--f", "one-plus-tanh"])
+    # one step: the only checkpoint is the horizon
+    cmds.append(["verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
+                 "--perturbation", "perturbation=arctan eps=0.4", "--t", "1", "--dt", "1", *SDE])
     return cmds
 
 
