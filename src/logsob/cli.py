@@ -271,23 +271,22 @@ def _write_paths(path: str, batch) -> None:
 def _cmd_verify(args) -> tuple:
     p = parse_potential(args.potential)
     a = parse_perturbation(args.perturbation)
-    x0 = _parse_x0(args.x0) if args.x0 else (0.0,) * p.dim
-    cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
-    f = _named_function(args.f, p.dim)
-    if args.check == "representation":
-        rep = representation_check(p, a, f, cfg)
-    elif args.check == "martingale":
-        # with one step the mid checkpoint would round to step 0
-        checkpoints = (args.t,) if cfg.n_steps == 1 else (args.t / 2, args.t)
-        rep = martingale_check(p, a, cfg, checkpoints)
-    elif args.check == "monotone":
-        rep = monotone_comparison(p, a, f, cfg)
-    elif args.check == "audit":
+    # each check builds only what it reads: the audit samples the measure
+    # and never simulates, and the martingale check has no test function
+    if args.check == "audit":
         _, bound = _audit_bound(p, a)
         samples = sample_measure(p, args.paths, method="radial_exact", seed=args.seed)
         rep = lsi_audit(p, bound, samples, seed=args.seed)
+        return dumps(rep), bool(rep.passed)
+    x0 = _parse_x0(args.x0) if args.x0 else (0.0,) * p.dim
+    cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
+    if args.check == "martingale":
+        # with one step the mid checkpoint would round to step 0
+        checkpoints = (args.t,) if cfg.n_steps == 1 else (args.t / 2, args.t)
+        rep = martingale_check(p, a, cfg, checkpoints)
     else:
-        raise ParameterError("check must be representation, martingale, monotone or audit")
+        check = representation_check if args.check == "representation" else monotone_comparison
+        rep = check(p, a, _named_function(args.f, p.dim), cfg)
     return dumps(rep), bool(rep.passed)
 
 

@@ -24,6 +24,13 @@ tilted potential V_a = V + log a^2).  Alongside the state we integrate
     (left-endpoint Ito sums) can be accumulated in parallel as a
     discretization cross-check.
 
+Each step computes the squared norm t = |x|^2 of the new state once, and
+every per-step quantity reads it: the divergence test, the drift, psi_a
+and |grad a / a|^2, and the tangent step's Hessian split.  A radial
+potential, paired on weighted paths with a radial perturbation, evaluates
+these from its closed forms in t (:func:`_step_fields`); every other pair
+goes through its point evaluators on x.  Both run in the one loop body.
+
 Determinism: the Gaussian increment for (path, step) is a fixed function
 of (seed, path block, step) through the Philox streams of
 :mod:`logsob.rng`, so path records are bit-identical for a given
@@ -31,10 +38,11 @@ of (seed, path block, step) through the Philox streams of
 share their Brownian increments (common random numbers).  Every block
 integrates in place on its own rows of the one :class:`PathBatch`.
 
-Paths whose state leaves |x| <= 1e8 or turns non-finite are frozen,
-flagged divergent, and excluded from estimates.  :func:`_reduce` is the one
-place that turns path values into an :class:`EstimateResult`: mean,
-standard error and ``flags``, the reasons its evidence is not to be
+A path whose next state fails |x|^2 <= 1e16 (as a NaN or an infinite
+coordinate does), or whose psi_a turns non-finite on a weighted path, is
+frozen, flagged divergent, and excluded from estimates.  :func:`_reduce`
+is the one place that turns path values into an :class:`EstimateResult`:
+mean, standard error and ``flags``, the reasons its evidence is not to be
 trusted.  An estimate is flagged when more than 0.1% of its paths
 diverged, or when its perturbed paths visited a |grad a|/a above the sup
 ``a.sup_log_grad`` that the weights assume; the checks of
@@ -198,26 +206,25 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
     sqrt_2dt = math.sqrt(2.0 * dt)
 
     x = batch.x_t[lo:hi]
+    t = np.einsum("ni,ni->n", x, x)
     j = None if batch.j_t is None else batch.j_t[lo:hi]
     # scratch of the tangent update, reused on every step
     work = None if j is None else (np.empty_like(j), np.empty_like(j))
     alive = np.ones(n, dtype=bool)
-    grad = np.asarray(p.gradient(x), dtype=float)
+    fields = _step_fields(p, a, weighted)
+    drift, lg_norm2, psi_x = fields(x, t)
     observed_lg = 0.0
     step_of = {}
     # running trapezoid sum: half weight on the initial state, full weights
     # after each step; the half weight of the current endpoint is removed
     # whenever the integral is materialized
     if weighted:
-        lg = np.asarray(a.log_grad(x), dtype=float)
-        lg_norm2 = np.einsum("ni,ni->n", lg, lg)
-        psi_x = psi_from_parts(a, x, lg, lg_norm2, grad)
         psi_sum = 0.5 * psi_x
         psi_last = psi_x
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         observed_lg = float(np.max(lg_norm2)) ** 0.5
-        for t, k in checkpoint_steps.items():
-            step_of.setdefault(k, []).append(t)
+        for tc, k in checkpoint_steps.items():
+            step_of.setdefault(k, []).append(tc)
     track_stoch = weighted and batch.log_weight_stochastic is not None
 
     def log_weight():
@@ -227,34 +234,33 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
 
     for k in range(cfg.n_steps):
         xi = rng.step_normals(cfg.seed, b, k, n, cfg.dim)
-        drift = grad + 2.0 * lg if weighted else grad
         if track_stoch:
+            lg = np.asarray(a.log_grad(x), dtype=float)
             stoch_inc = (math.sqrt(2.0) * math.sqrt(dt) * np.einsum("ni,ni->n", lg, xi)
                          - dt * lg_norm2)
             batch.log_weight_stochastic[lo:hi] += np.where(alive, stoch_inc, 0.0)
         x_new = x + sqrt_2dt * xi - dt * drift
 
+        # the squared norm is the whole divergence test: a NaN or an
+        # infinity in any coordinate makes it fail the comparison
         with np.errstate(invalid="ignore", over="ignore"):
-            bad = ~np.all(np.isfinite(x_new), axis=1)
-            bad |= np.einsum("ni,ni->n", x_new, x_new) > DIVERGENCE_RADIUS**2
-        alive = alive & ~bad
+            t_new = np.einsum("ni,ni->n", x_new, x_new)
+        alive = alive & (t_new <= DIVERGENCE_RADIUS**2)
         # where=True while every path is alive: numpy's masked loops cost
         # several times the plain ones
         everyone = bool(alive.all())
         if j is not None:
-            _tangent_step(p, j, x, dt, True if everyone else alive[:, None, None], work)
+            _tangent_step(p, j, x, t, dt, True if everyone else alive[:, None, None], work)
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
-        grad = np.asarray(p.gradient(x), dtype=float)
+        np.copyto(t, t_new, where=True if everyone else alive)
+        drift, lg_norm2, psi_x = fields(x, t)
         if weighted:
-            lg = np.asarray(a.log_grad(x), dtype=float)
-            lg_norm2 = np.einsum("ni,ni->n", lg, lg)
             observed_lg = max(observed_lg, float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5)
-            psi_x = psi_from_parts(a, x, lg, lg_norm2, grad)
             alive = alive & np.isfinite(psi_x)
             psi_sum = psi_sum + np.where(alive, psi_x, 0.0)
             psi_last = np.where(alive, psi_x, psi_last)
-        for t in step_of.get(k + 1, ()):
-            batch.checkpoint_log_weights[t][lo:hi] = log_weight()[0]
+        for tc in step_of.get(k + 1, ()):
+            batch.checkpoint_log_weights[tc][lo:hi] = log_weight()[0]
 
     batch.divergent[lo:hi] = ~alive
     if weighted:
@@ -262,20 +268,56 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
     return observed_lg
 
 
-def _tangent_step(p, j, x, dt, keep, work):
+def _step_fields(p, a, weighted):
+    """The per-step evaluator (x, t) -> (drift, |lg|^2, psi) at the states
+    x, whose squared norms t = |x|^2 the step has already computed, with
+    lg = grad a / a; |lg|^2 and psi are None on unweighted paths.
+
+    A radial potential, with a radial perturbation on weighted paths,
+    reads its closed forms in t, so nothing recomputes |x|^2: with
+    grad V = gc x and lg = lgc x, the drift is (gc + 2 lgc) x, |lg|^2 =
+    lgc^2 t and psi = lap_over_a(t, d) - 2 |lg|^2 - gc lgc t.  Every other
+    pair goes through its point evaluators and psi_from_parts."""
+    if p.radial is not None and (not weighted or a.radial is not None):
+        grad_coeff = p.radial.grad_coeff
+        if not weighted:
+            return lambda x, t: (grad_coeff(t)[:, None] * x, None, None)
+        tilt, d = a.radial, p.dim
+
+        def closed_form(x, t):
+            gc = grad_coeff(t)
+            lgc = tilt.log_grad_coeff(t)
+            lg_norm2 = lgc * lgc * t
+            psi_x = tilt.lap_over_a(t, d) - 2.0 * lg_norm2 - gc * lgc * t
+            return (gc + 2.0 * lgc)[:, None] * x, lg_norm2, psi_x
+
+        return closed_form
+
+    def point(x, t):
+        grad = np.asarray(p.gradient(x), dtype=float)
+        if not weighted:
+            return grad, None, None
+        lg = np.asarray(a.log_grad(x), dtype=float)
+        lg_norm2 = np.einsum("ni,ni->n", lg, lg)
+        return grad + 2.0 * lg, lg_norm2, psi_from_parts(a, x, lg, lg_norm2, grad)
+
+    return point
+
+
+def _tangent_step(p, j, x, t, dt, keep, work):
     """One Euler step of the tangent flow in place: J <- J - dt J hess V(x)
-    on the paths where ``keep`` (a mask over J, or True) holds.
+    on the paths where ``keep`` (a mask over J, or True) holds; t = |x|^2.
 
     For a radial potential, hess V = A x x^T + B I with (A, B) from
-    ``p.radial.hess_split``, so J hess V = B J + A (J x) x^T and no Hessian
-    is built.  When A vanishes on the whole block (the Gaussian) the update
-    is the scalar recursion J - dt (B J), bit for bit.  Potentials without
-    a radial profile multiply by their built Hessian."""
+    ``p.radial.hess_split(t)``, so J hess V = B J + A (J x) x^T and no
+    Hessian is built.  When A vanishes on the whole block (the Gaussian)
+    the update is the scalar recursion J - dt (B J), bit for bit.
+    Potentials without a radial profile multiply by their built Hessian."""
     upd, outer = work
     if p.radial is None:
         np.matmul(j, np.asarray(p.hessian(x), dtype=float), out=upd)
     else:
-        a_coef, b_coef = p.radial.hess_split(np.einsum("ni,ni->n", x, x))
+        a_coef, b_coef = p.radial.hess_split(t)
         np.multiply(j, b_coef[:, None, None], out=upd)
         if np.any(a_coef):
             jx = np.einsum("nij,nj->ni", j, x)

@@ -388,6 +388,43 @@ def test_verify_unknown_function_exits_one(capsys):
     assert code == 1
 
 
+def test_verify_representation_unknown_function_exits_one(capsys):
+    code, _, err = run(
+        capsys, "verify", "--check", "representation",
+        "--potential", "family=gaussian rho=1 dim=1",
+        "--perturbation", "perturbation=identity",
+        "--f", "nosuch", "--t", "0.1", "--dt", "0.05", "--paths", "100",
+    )
+    assert code == 1
+    assert "nosuch" in json.loads(err)["error"]
+
+
+AUDIT = ("verify", "--check", "audit", "--potential", "family=subbotin alpha=4 dim=1",
+         "--perturbation", "perturbation=identity", "--paths", "2000", "--seed", "3")
+
+
+def test_verify_audit_ignores_the_sde_and_function_options(capsys):
+    # the audit samples the measure: neither --f nor the SDE options are read,
+    # so an unknown function and a dt above the horizon change nothing
+    code, reference, _ = run(capsys, *AUDIT)
+    assert code == 0
+    code, out, err = run(capsys, *AUDIT, "--f", "nosuch", "--t", "0.5", "--dt", "1")
+    assert "error" not in json.loads(err)
+    assert code == 0
+    assert out == reference
+
+
+def test_verify_martingale_ignores_the_function_option(capsys):
+    argv = ("verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
+            "--perturbation", "perturbation=arctan eps=0.4", "--t", "0.1", "--dt", "0.01",
+            "--paths", "2000", "--seed", "5")
+    code, reference, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--f", "nosuch")
+    assert code == 0
+    assert out == reference
+
+
 # --- sample -------------------------------------------------------------------------
 
 def test_sample_csv_output(tmp_path, capsys):

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsob.errors import EstimationError, ParameterError
-from logsob.perturbations import arctan_perturbation, identity_perturbation
+from logsob.perturbations import arctan_perturbation, identity_perturbation, psi_from_parts
 from logsob.potentials import make_custom_potential, make_potential
 from logsob.rng import BLOCK_PATHS
 from logsob.sde import (
     DIVERGENCE_RADIUS,
     SdeConfig,
     SmoothFunction,
+    _step_fields,
     _tangent_step,
     estimate_expectation,
     estimate_fk_gradient,
@@ -32,6 +33,8 @@ LINEAR = SmoothFunction(
         np.array([0.8, -0.6]) if x.shape[-1] > 1 else np.array([1.0]), x.shape
     ).copy(),
 )
+
+EPS = np.finfo(float).eps
 
 CONST = SmoothFunction("const", value=lambda x: np.ones(x.shape[:-1]),
                      gradient=lambda x: np.zeros(x.shape))
@@ -96,14 +99,28 @@ def _same_bits(u, v):
     return type(u) is type(v) and u == v
 
 
+def _point_path_quartic(d):
+    """The subbotin alpha=4 callables without their radial profile, so the
+    step takes the point evaluators."""
+    q = make_potential("subbotin", d, alpha=4.0)
+    return make_custom_potential(d, q.value, q.gradient, q.hessian)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_paths=st.integers(1, 2 * BLOCK_PATHS + 1000).filter(lambda n: n % BLOCK_PATHS),
        workers=st.integers(1, 3), tangent=st.booleans(),
-       variant=st.sampled_from(["plain", "perturbed"]))
-@example(n_paths=2 * BLOCK_PATHS + 1, workers=2, tangent=False, variant="perturbed")
+       variant=st.sampled_from(["plain", "perturbed"]),
+       evaluator=st.sampled_from(["closed_form", "point"]))
+@example(n_paths=2 * BLOCK_PATHS + 1, workers=2, tangent=False, variant="perturbed",
+         evaluator="closed_form")
+@example(n_paths=2 * BLOCK_PATHS + 1, workers=3, tangent=True, variant="perturbed",
+         evaluator="point")
 def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, tangent,
-                                                             variant):
-    p = make_potential("subbotin", 2, alpha=4.0)
+                                                             variant, evaluator):
+    if evaluator == "point":
+        p = _point_path_quartic(2)
+    else:
+        p = make_potential("subbotin", 2, alpha=4.0)
     cfg = SdeConfig(dt=0.01, horizon=0.02, n_paths=n_paths, seed=17, x0=(0.5, -0.5))
 
     def run(max_workers):
@@ -147,7 +164,8 @@ def test_seed_changes_draws():
 
 def _one_tangent_step(p, j, x, dt, keep):
     j = j.copy()
-    _tangent_step(p, j, x, dt, keep[:, None, None], (np.empty_like(j), np.empty_like(j)))
+    _tangent_step(p, j, x, np.einsum("ni,ni->n", x, x), dt, keep[:, None, None],
+                  (np.empty_like(j), np.empty_like(j)))
     return j
 
 
@@ -223,6 +241,116 @@ def test_custom_potential_takes_the_hessian_path():
     assert calls == [(300, 2)] * cfg.n_steps
     gauss = simulate(make_potential("gaussian", 2, rho=rho), identity_perturbation(), cfg)
     assert np.array_equal(batch.j_t, gauss.j_t)
+
+
+# --- per-step fields ---------------------------------------------------------------
+
+def _points(d, n=2000, seed=0):
+    """Random directions at radii from 1e-4 to 1e3 (t up to 1e6), with the
+    origin and the largest radius included."""
+    gen = np.random.default_rng(seed)
+    u = gen.normal(size=(n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = 10.0 ** gen.uniform(-4.0, 3.0, size=n)
+    r[0], r[1] = 0.0, 1e3
+    return u * r[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("a", [identity_perturbation(), arctan_perturbation(0.4)],
+                         ids=["identity", "arctan"])
+@pytest.mark.parametrize("family,params", [("gaussian", {"rho": 1.3}),
+                                           ("subbotin", {"alpha": 3.0}),
+                                           ("subbotin", {"alpha": 4.0}),
+                                           ("double_well", {"beta": 0.2})])
+def test_closed_form_fields_match_the_point_evaluators(family, params, a, d):
+    p = make_potential(family, d, **params)
+    weighted = a.family != "identity"
+    x = _points(d)
+    t = np.einsum("ni,ni->n", x, x)
+    closed = _step_fields(p, a, weighted)
+    drift, lg_norm2, psi_x = closed(x, t)
+    grad = p.gradient(x)
+    if not weighted:
+        assert lg_norm2 is None and psi_x is None
+        lg = np.zeros_like(x)
+    else:
+        lg = a.log_grad(x)
+    ref_norm2 = np.einsum("ni,ni->n", lg, lg)
+    ref = (grad + 2.0 * lg, ref_norm2, psi_from_parts(a, x, lg, ref_norm2, grad))
+    # the point evaluators sum |x|^2 in another order: t moves by up to about
+    # d ulps, which moves each field by its own sensitivity to t; on top,
+    # each side rounds a few times on the sum of its terms' magnitudes
+    t_lo, t_hi = t * (1.0 - 2 * d * EPS), t * (1.0 + 2 * d * EPS)
+    moved = [np.maximum(np.abs(np.asarray(u) - np.asarray(v)), np.abs(np.asarray(w) - np.asarray(v)))
+             for u, v, w in zip(closed(x, t_lo), (drift, lg_norm2, psi_x), closed(x, t_hi))
+             if v is not None]
+    magnitudes = [np.abs(grad) + 2.0 * np.abs(lg), ref_norm2,
+                  np.abs(a.lap_over_a(x)) + 2.0 * ref_norm2 + np.abs(np.einsum("ni,ni->n", grad, lg))]
+    for got, want, spread, size in zip((drift, lg_norm2, psi_x), ref, moved, magnitudes):
+        assert np.all(np.abs(got - want) <= 4 * (d + 2) * EPS * size + spread)
+
+
+def test_custom_potential_stays_on_the_point_path():
+    builtin = make_potential("subbotin", 2, alpha=4.0)
+    calls = []
+
+    def gradient(x):
+        calls.append(x.shape)
+        return builtin.gradient(x)
+
+    custom = make_custom_potential(2, builtin.value, gradient, builtin.hessian)
+    assert custom.radial is None
+    a = arctan_perturbation(0.4)
+    cfg = SdeConfig(dt=0.01, horizon=0.2, n_paths=3000, seed=5, x0=(0.4, -0.2))
+    calls.clear()
+    batch = simulate(custom, a, cfg, variant="perturbed", max_workers=1)
+    # once at the initial state and once after each step
+    assert calls == [(3000, 2)] * (cfg.n_steps + 1)
+    ref = simulate(builtin, a, cfg, variant="perturbed", max_workers=1)
+    for name in ("x_t", "j_t", "girsanov_log_weight", "psi_integral"):
+        got, want = getattr(batch, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    assert not batch.divergent.any() and not ref.divergent.any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300],
+                         ids=["nan", "inf", "-inf", "overflow"])
+def test_divergence_test_is_the_squared_norm(bad):
+    # the gradient turns bad in its second coordinate only where the first
+    # coordinate passes 0.5: the next state then has a NaN or infinite
+    # coordinate, or a squared norm that overflows
+    quartic = make_potential("subbotin", 2, alpha=4.0)
+
+    def potential(inject):
+        def gradient(x):
+            g = quartic.gradient(x)
+            if inject:
+                g[..., 1] = np.where(x[..., 0] > 0.5, bad, g[..., 1])
+            return g
+        return make_custom_potential(2, quartic.value, gradient, quartic.hessian)
+
+    dt, n_steps = 2.0**-7, 24
+    cfg = SdeConfig(dt=dt, horizon=n_steps * dt, n_paths=400, seed=3, x0=(0.0, 0.0))
+    batch = simulate(potential(True), identity_perturbation(), cfg)
+    # the clean paths through step k share their increments with the full run
+    clean = potential(False)
+    x_k, j_k = [np.zeros((400, 2))], [np.tile(np.eye(2), (400, 1, 1))]
+    for k in range(1, n_steps):
+        prefix = simulate(clean, identity_perturbation(),
+                          dataclasses.replace(cfg, horizon=k * dt))
+        x_k.append(prefix.x_t)
+        j_k.append(prefix.j_t)
+    hit = np.array([x[:, 0] > 0.5 for x in x_k])
+    first = np.argmax(hit, axis=0)
+    expected = hit.any(axis=0)
+    assert 0 < expected.sum() < 400
+    assert np.array_equal(batch.divergent, expected)
+    # a path freezes at the state where its gradient turned bad
+    rows = np.flatnonzero(expected)
+    assert np.array_equal(batch.x_t[rows], np.array(x_k)[first[rows], rows])
+    assert np.array_equal(batch.j_t[rows], np.array(j_k)[first[rows], rows])
+    assert np.all(np.isfinite(batch.x_t)) and np.all(np.isfinite(batch.j_t))
 
 
 # --- Ornstein-Uhlenbeck exactness ----------------------------------------------

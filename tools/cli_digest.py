@@ -98,6 +98,16 @@ def _commands() -> list:
     # one step: the only checkpoint is the horizon
     cmds.append(["verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
                  "--perturbation", "perturbation=arctan eps=0.4", "--t", "1", "--dt", "1", *SDE])
+    # each check reads only its own options: --f only representation and
+    # monotone, the SDE options only the three path checks
+    audit = ["verify", "--check", "audit", "--potential", "family=subbotin alpha=4 dim=1",
+             "--perturbation", "perturbation=identity", "--paths", "5000", "--seed", "3"]
+    cmds += [audit + ["--f", "nosuch"], audit + ["--t", "0.5", "--dt", "1"],
+             ["verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
+              "--perturbation", "perturbation=arctan eps=0.4", "--dt", "0.001", "--t", "0.04",
+              *SDE, "--f", "nosuch"],
+             ["verify", "--check", "representation", "--potential", "family=gaussian rho=1 dim=1",
+              "--perturbation", "perturbation=identity", "--f", "nosuch", "--paths", "100"]]
     return cmds
 
 
