@@ -268,27 +268,26 @@ def test_closed_form_fields_match_the_point_evaluators(family, params, a, d):
     weighted = a.family != "identity"
     x = _points(d)
     t = np.einsum("ni,ni->n", x, x)
-    closed = _step_fields(p, a, weighted)
-    drift, lg_norm2, psi_x = closed(x, t)
+
+    def closed(tt):
+        return [f for f in _step_fields(p, a, weighted)(x, tt) if f is not None]
+
+    got = closed(t)
+    assert len(got) == (3 if weighted else 1)
     grad = p.gradient(x)
-    if not weighted:
-        assert lg_norm2 is None and psi_x is None
-        lg = np.zeros_like(x)
-    else:
-        lg = a.log_grad(x)
-    ref_norm2 = np.einsum("ni,ni->n", lg, lg)
-    ref = (grad + 2.0 * lg, ref_norm2, psi_from_parts(a, x, lg, ref_norm2, grad))
-    # the point evaluators sum |x|^2 in another order: t moves by up to about
-    # d ulps, which moves each field by its own sensitivity to t; on top,
-    # each side rounds a few times on the sum of its terms' magnitudes
-    t_lo, t_hi = t * (1.0 - 2 * d * EPS), t * (1.0 + 2 * d * EPS)
-    moved = [np.maximum(np.abs(np.asarray(u) - np.asarray(v)), np.abs(np.asarray(w) - np.asarray(v)))
-             for u, v, w in zip(closed(x, t_lo), (drift, lg_norm2, psi_x), closed(x, t_hi))
-             if v is not None]
-    magnitudes = [np.abs(grad) + 2.0 * np.abs(lg), ref_norm2,
-                  np.abs(a.lap_over_a(x)) + 2.0 * ref_norm2 + np.abs(np.einsum("ni,ni->n", grad, lg))]
-    for got, want, spread, size in zip((drift, lg_norm2, psi_x), ref, moved, magnitudes):
-        assert np.all(np.abs(got - want) <= 4 * (d + 2) * EPS * size + spread)
+    lg = a.log_grad(x) if weighted else np.zeros_like(x)
+    lg_norm2 = np.einsum("ni,ni->n", lg, lg)
+    want = [grad + 2.0 * lg, lg_norm2, psi_from_parts(a, x, lg, lg_norm2, grad)]
+    magnitudes = [np.abs(grad) + 2.0 * np.abs(lg), lg_norm2,
+                  np.abs(a.lap_over_a(x)) + 2.0 * lg_norm2
+                  + np.abs(np.einsum("ni,ni->n", grad, lg))]
+    # the point evaluators sum |x|^2 in another order, so their t differs by
+    # up to about d ulps: allow each field's own change under a 2d-ulp move
+    # of t, plus a few roundings of its terms' magnitudes on each side
+    spreads = [np.maximum(np.abs(lo - g), np.abs(hi - g)) for g, lo, hi in
+               zip(got, closed(t * (1.0 - 2 * d * EPS)), closed(t * (1.0 + 2 * d * EPS)))]
+    for g, w, size, spread in zip(got, want, magnitudes, spreads):
+        assert np.all(np.abs(g - w) <= 4 * (d + 2) * EPS * size + spread)
 
 
 def test_custom_potential_stays_on_the_point_path():
