@@ -20,7 +20,6 @@ failing precondition named and constant = +inf.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +34,6 @@ from .curvature import (  # certify_* stay importable here for perfbench/tracing
 from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, arctan_perturbation, check_G, tilted_hess_split
 from .potentials import Potential, make_potential
-from .threads import worker_count
 
 SQ3 = math.sqrt(3.0)
 
@@ -140,22 +138,26 @@ def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
     )
 
 
-def _a_nondecreasing(a: Perturbation):
-    """Monotonicity verdict for the perturbation.
+def _a_nondecreasing(a: Perturbation, span: float = 0.0):
+    """Monotonicity verdict for the perturbation, read by the monotone
+    bound and by ``verify.monotone_comparison``.
 
     The built-in radial families are non-decreasing in |x|; that radial
     monotonicity is what the one-dimensional monotone comparison uses (the
     symmetric profile is flagged rather than rejected).  Custom
-    perturbations are checked pointwise on a grid.
+    perturbations are checked pointwise on a grid of spacing at most 0.06
+    over [-r, r], r = max(30, span), so a comparison whose paths start
+    far out passes its probe span.
     """
     if a.family == "identity":
         return True, "constant", False
     if a.radial is not None:
         return True, "non-decreasing in |x| (radial family)", True
-    grid = np.linspace(-30.0, 30.0, 1001)[:, None]
+    reach = max(30.0, span)
+    grid = np.linspace(-reach, reach, 2 * math.ceil(reach * 50.0 / 3.0) + 1)[:, None]
     vals = np.asarray(a.value(grid), dtype=float)
     ok = bool(np.all(np.diff(vals) >= -1e-12))
-    return ok, "grid check on [-30, 30]", True
+    return ok, f"grid check on [-{reach:g}, {reach:g}]", True
 
 
 def bakry_emery_bound(p: Potential) -> BoundReport:
@@ -281,8 +283,7 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None):
         return SweepRow(d=d, eps=eps, kappa=kappa_val, bound=rep.constant,
                         envelope=env, valid=rep.valid, certified=rep.certified)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(row, dims))
+    rows = [row(d) for d in dims]
     for r in rows:
         if r.valid and r.bound > r.envelope * (1.0 + 1e-12):
             raise EvaluationError(f"bound {r.bound} exceeds envelope {r.envelope} at d={r.d}",

@@ -54,7 +54,6 @@ from scipy.stats import qmc
 from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, psi, psi_radial
 from .potentials import Potential, jacobi_eigenvalues
-from .threads import worker_count
 
 # radial search: a logarithmic grid on [0, T_MAX], doubled up to T_MAX_CAP
 # while the minimum sits at its edge, then golden-section refinement down
@@ -185,8 +184,6 @@ def _radial_search(p, a, weight):
 
 
 def _multistart_search(p, a, weight, cfg: SearchConfig):
-    from concurrent.futures import ThreadPoolExecutor
-
     from scipy.optimize import minimize
 
     d = p.dim
@@ -202,11 +199,7 @@ def _multistart_search(p, a, weight, cfg: SearchConfig):
         )
         return float(res.fun), np.asarray(res.x)
 
-    # starts are independent work units; the min-reduction over their
-    # results is exact, so the outcome cannot depend on scheduling
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(descend, starts))
-    best_v, best_x = min(results, key=lambda r: r[0])
+    best_v, best_x = min(map(descend, starts), key=lambda r: r[0])
     on_boundary = bool(np.any(np.abs(best_x) > 0.98 * BOX_HALFWIDTH))
     return CurvatureReport(
         kind="", value=best_v, argmin=best_x, method="full_grid", certified=False,

@@ -239,17 +239,23 @@ def psi(a: Perturbation, p: Potential, x: Array) -> Array:
     return out
 
 
+def psi_radial_parts(a: Perturbation, p: Potential, t: Array) -> tuple:
+    """(gc, lgc, |grad a / a|^2, psi) at t = |x|^2 for a radial pair, where
+    grad V = gc x and grad a / a = lgc x, so |grad a / a|^2 = lgc^2 t and
+    psi = lap_over_a(t, d) - 2 |grad a / a|^2 - gc lgc t."""
+    gc = p.radial.grad_coeff(t)
+    lgc = a.radial.log_grad_coeff(t)
+    lg_norm2 = lgc * lgc * t
+    return gc, lgc, lg_norm2, a.radial.lap_over_a(t, p.dim) - 2.0 * lg_norm2 - gc * lgc * t
+
+
 def psi_radial(a: Perturbation, p: Potential, t: Array) -> Array:
     """psi as a function of t = |x|^2 for a radial potential/perturbation pair."""
     if a.family == "identity":
         return np.zeros_like(np.asarray(t, dtype=float))
     if a.radial is None or p.radial is None:
         raise ParameterError("psi_radial requires a radial potential and perturbation")
-    t = np.asarray(t, dtype=float)
-    lam = a.radial.log_grad_coeff(t)
-    lap = a.radial.lap_over_a(t, p.dim)
-    v = p.radial.grad_coeff(t)
-    return lap - 2.0 * lam * lam * t - v * lam * t
+    return psi_radial_parts(a, p, np.asarray(t, dtype=float))[3]
 
 
 def tilted_hess_split(p: Potential, a: Perturbation, t: Array) -> tuple:

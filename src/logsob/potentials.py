@@ -218,19 +218,34 @@ def make_custom_potential(
     )
 
 
+# the parameter names of each built-in family
+_FAMILY_PARAMS = {
+    "gaussian": ("rho",),
+    "subbotin": ("alpha",),
+    "double_well": ("beta",),
+}
+
+
+def _check_family(family: str, keys) -> None:
+    if family not in _FAMILY_PARAMS:
+        raise ParameterError("unknown potential family %r" % family)
+    for key in keys:
+        if key not in _FAMILY_PARAMS[family]:
+            raise ParameterError("unknown parameter %r for family %r" % (key, family))
+
+
 def make_potential(family: str, dim: int, **params) -> Potential:
     """Construct a built-in potential; see the module docstring for families."""
+    _check_family(family, params)
     if family == "gaussian":
-        return _gaussian(params.pop("rho", 1.0), dim)
+        return _gaussian(params.get("rho", 1.0), dim)
     if family == "subbotin":
         if "alpha" not in params:
             raise ParameterError("subbotin requires alpha")
-        return _subbotin(params.pop("alpha"), dim)
-    if family == "double_well":
-        if "beta" not in params:
-            raise ParameterError("double_well requires beta")
-        return _double_well(params.pop("beta"), dim)
-    raise ParameterError("unknown potential family %r" % family)
+        return _subbotin(params["alpha"], dim)
+    if "beta" not in params:
+        raise ParameterError("double_well requires beta")
+    return _double_well(params["beta"], dim)
 
 
 def rho_minus(p: Potential, x: Array) -> float:
@@ -259,12 +274,6 @@ def hessian_eigenvalues(p: Potential, x: Array) -> Array:
 
 # --- text config parsing -------------------------------------------------
 
-_FAMILY_PARAMS = {
-    "gaussian": ("rho",),
-    "subbotin": ("alpha",),
-    "double_well": ("beta",),
-}
-
 
 def parse_potential(text: str) -> Potential:
     """Parse a spec like ``family=subbotin alpha=4 dim=8``."""
@@ -283,12 +292,9 @@ def parse_potential(text: str) -> Potential:
         raise ParameterError("potential spec must contain dim=...") from None
     except ValueError:
         raise ParameterError("dim must be an integer") from None
-    if family not in _FAMILY_PARAMS:
-        raise ParameterError("unknown potential family %r" % family)
+    _check_family(family, fields)
     params = {}
     for key, val in fields.items():
-        if key not in _FAMILY_PARAMS[family]:
-            raise ParameterError("unknown parameter %r for family %r" % (key, family))
         try:
             params[key] = float(val)
         except ValueError:

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import rng
 from .errors import EstimationError, ParameterError
-from .perturbations import Perturbation, identity_perturbation, psi_from_parts
+from .perturbations import Perturbation, identity_perturbation, psi_from_parts, psi_radial_parts
 from .potentials import Potential
 from .threads import worker_count
 
@@ -219,10 +219,12 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
     # after each step; the half weight of the current endpoint is removed
     # whenever the integral is materialized
     if weighted:
-        psi_sum = 0.5 * psi_x
-        psi_last = psi_x
-        log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         observed_lg = float(np.max(lg_norm2)) ** 0.5
+        # the initial state meets the same finiteness rule as every step
+        alive &= np.isfinite(psi_x)
+        psi_last = np.where(alive, psi_x, 0.0)
+        psi_sum = 0.5 * psi_last
+        log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         for tc, k in checkpoint_steps.items():
             step_of.setdefault(k, []).append(tc)
     track_stoch = weighted and batch.log_weight_stochastic is not None
@@ -275,20 +277,16 @@ def _step_fields(p, a, weighted):
 
     A radial potential, with a radial perturbation on weighted paths,
     reads its closed forms in t, so nothing recomputes |x|^2: with
-    grad V = gc x and lg = lgc x, the drift is (gc + 2 lgc) x, |lg|^2 =
-    lgc^2 t and psi = lap_over_a(t, d) - 2 |lg|^2 - gc lgc t.  Every other
-    pair goes through its point evaluators and psi_from_parts."""
+    grad V = gc x and lg = lgc x from psi_radial_parts, the drift is
+    (gc + 2 lgc) x.  Every other pair goes through its point evaluators
+    and psi_from_parts."""
     if p.radial is not None and (not weighted or a.radial is not None):
-        grad_coeff = p.radial.grad_coeff
         if not weighted:
+            grad_coeff = p.radial.grad_coeff
             return lambda x, t: (grad_coeff(t)[:, None] * x, None, None)
-        tilt, d = a.radial, p.dim
 
         def closed_form(x, t):
-            gc = grad_coeff(t)
-            lgc = tilt.log_grad_coeff(t)
-            lg_norm2 = lgc * lgc * t
-            psi_x = tilt.lap_over_a(t, d) - 2.0 * lg_norm2 - gc * lgc * t
+            gc, lgc, lg_norm2, psi_x = psi_radial_parts(a, p, t)
             return (gc + 2.0 * lgc)[:, None] * x, lg_norm2, psi_x
 
         return closed_form

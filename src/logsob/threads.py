@@ -1,4 +1,4 @@
-"""Worker count shared by the threaded path blocks, searches and sweeps."""
+"""Worker count shared by the threaded SDE path blocks and --emit-paths norms."""
 
 from __future__ import annotations
 

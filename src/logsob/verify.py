@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import rng
-from .bounds import BoundReport
+from .bounds import BoundReport, _a_nondecreasing
 from .errors import EstimationError, ParameterError, PreconditionError
 from .perturbations import Perturbation, check_G
 from .potentials import Potential
@@ -168,12 +168,6 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
     )
 
 
-def _grid_nondecreasing(fn, lo, hi):
-    grid = np.linspace(lo, hi, 1000)[:, None]
-    vals = np.asarray(fn(grid), dtype=float)
-    return bool(np.all(np.diff(vals) >= -1e-12)), grid, vals
-
-
 def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
                         cfg: SdeConfig) -> CheckReport:
     """One-sided comparison E[f(X_{T,a})] <= E[f(X_T)] for non-decreasing
@@ -181,22 +175,19 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
     if p.dim != 1 or cfg.dim != 1:
         raise PreconditionError("d=1 restriction", "monotone comparison supports d = 1 only")
     span = max(4.0, abs(cfg.x0[0]) + 4.0)
-    f_ok, grid, fvals = _grid_nondecreasing(f.value, -span, span)
-    if not f_ok:
+    fvals = np.asarray(f.value(np.linspace(-span, span, 1000)[:, None]), dtype=float)
+    if not np.all(np.diff(fvals) >= -1e-12):
         raise PreconditionError("f non-decreasing", "test function decreases on the probe grid")
     if np.any(fvals <= 0):
         raise PreconditionError("f > 0", "test function is not positive on the probe grid")
+    # the verdict the monotone bound reads: a symmetric radial profile is
+    # non-decreasing in |x|, flagged rather than rejected (the comparison
+    # is still checked, not assumed)
+    if not _a_nondecreasing(a, span)[0]:
+        raise PreconditionError("a non-decreasing", "perturbation decreases on the probe grid")
     a_note = ""
-    if a.family != "identity":
-        if a.radial is not None:
-            # symmetric radial profile: non-decreasing in |x|, flagged rather
-            # than rejected (the comparison is still checked, not assumed)
-            a_note = "a is non-decreasing in |x| (radial family); pointwise monotonicity waived"
-        else:
-            a_ok, _, _ = _grid_nondecreasing(a.value, -span, span)
-            if not a_ok:
-                raise PreconditionError("a non-decreasing",
-                                        "perturbation decreases on the probe grid")
+    if a.family != "identity" and a.radial is not None:
+        a_note = "a is non-decreasing in |x| (radial family); pointwise monotonicity waived"
     lhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="perturbed",
                                tangent=False)
     rhs = estimate_expectation(p, a, cfg, payoff_terminal(f), variant="plain", tangent=False)

@@ -77,6 +77,19 @@ def test_parameter_errors_name_the_constraint(family, kwargs, msg):
         make_potential(family, 2, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "family,kwargs,key",
+    [
+        ("gaussian", {"rhoo": 3.0}, "rhoo"),
+        ("subbotin", {"alpha": 4.0, "beta": 0.1}, "beta"),
+        ("double_well", {"beta": 0.25, "rho": 1.0}, "rho"),
+    ],
+)
+def test_unknown_keyword_is_rejected(family, kwargs, key):
+    with pytest.raises(ParameterError, match=f"unknown parameter '{key}' for family '{family}'"):
+        make_potential(family, 2, **kwargs)
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_eigenvalue_floor_derives_from_profile(d):
     assert make_potential("gaussian", d, rho=0.7).hessian_lower_bound == 0.7

@@ -7,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsob.errors import EstimationError, ParameterError
-from logsob.perturbations import arctan_perturbation, identity_perturbation, psi_from_parts
+from logsob.perturbations import (
+    arctan_perturbation,
+    identity_perturbation,
+    make_custom_perturbation,
+    psi_from_parts,
+)
 from logsob.potentials import make_custom_potential, make_potential
 from logsob.rng import BLOCK_PATHS
 from logsob.sde import (
@@ -527,6 +532,29 @@ def test_divergent_paths_flagged_and_excluded():
     assert batch.n_divergent == 300
     with pytest.raises(EstimationError):
         estimate_expectation(p, identity_perturbation(), cfg, lambda b: np.ones(len(b)))
+
+
+def test_non_finite_psi_at_the_initial_state_freezes_the_path():
+    # the Laplacian of a = 2 + exp(-x^2) is NaN exactly at x = 2, where the
+    # paths start: they are divergent rather than carrying NaN weights
+    def value(x):
+        return 2.0 + np.exp(-x[..., 0] ** 2)
+
+    def gradient(x):
+        return -2.0 * x * np.exp(-x ** 2)
+
+    def laplacian(x):
+        x1 = x[..., 0]
+        return np.where(x1 == 2.0, np.nan, (4.0 * x1 ** 2 - 2.0) * np.exp(-x1 ** 2))
+
+    a = make_custom_perturbation(value, gradient, laplacian, dim=1)
+    p = make_potential("subbotin", 1, alpha=4.0)
+    cfg = SdeConfig(dt=0.01, horizon=0.05, n_paths=100, seed=1, x0=(2.0,))
+    batch = simulate(p, a, cfg, variant="perturbed")
+    assert batch.divergent.all()
+    assert np.all(batch.girsanov_log_weight == 0.0) and np.all(batch.psi_integral == 0.0)
+    with pytest.raises(EstimationError, match="only 0 valid paths"):
+        estimate_expectation(p, a, cfg, payoff_weight(), variant="perturbed", tangent=False)
 
 
 def test_unreliable_flag_when_divergence_exceeds_threshold():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from logsob.bounds import bakry_emery_bound, fk_bound, optimize_epsilon
+from logsob.bounds import bakry_emery_bound, fk_bound, fk_mono_bound, optimize_epsilon
 from logsob.errors import EstimationError, ParameterError, PreconditionError
 from logsob.perturbations import (
     arctan_perturbation,
@@ -235,6 +235,34 @@ def test_monotone_rejects_non_positive_f():
     cfg = SdeConfig(dt=0.01, horizon=0.5, n_paths=100, seed=1, x0=(0.0,))
     with pytest.raises(PreconditionError, match="positive"):
         monotone_comparison(p, identity_perturbation(), TANH, cfg)
+
+
+@pytest.mark.parametrize("dip,x0", [(10.0, 0.0), (80.0, 90.0)])
+def test_monotone_reads_the_bound_s_verdict_on_a(dip, x0):
+    # a = 2 + tanh x - sigmoid(x - dip) / 2 rises on [-4, 4] and dips near
+    # x = dip: at 10 outside the comparison's own probe span from x0 = 0,
+    # at 80 outside the bound's [-30, 30] but inside the span from x0 = 90
+    def sig(x):
+        return 1.0 / (1.0 + np.exp(-(x[..., 0] - dip)))
+
+    def value(x):
+        return 2.0 + np.tanh(x[..., 0]) - 0.5 * sig(x)
+
+    def gradient(x):
+        s = sig(x)
+        return (1.0 / np.cosh(x[..., 0]) ** 2 - 0.5 * s * (1.0 - s))[..., None]
+
+    def laplacian(x):
+        s, th = sig(x), np.tanh(x[..., 0])
+        return -2.0 * th / np.cosh(x[..., 0]) ** 2 - 0.5 * s * (1.0 - s) * (1.0 - 2.0 * s)
+
+    a = make_custom_perturbation(value, gradient, laplacian, dim=1)
+    p = make_potential("subbotin", 1, alpha=4.0)
+    if x0 == 0.0:
+        assert "a non-decreasing" in fk_mono_bound(p, a).failed()
+    cfg = SdeConfig(dt=0.01, horizon=0.5, n_paths=100, seed=1, x0=(x0,))
+    with pytest.raises(PreconditionError, match="a non-decreasing"):
+        monotone_comparison(p, a, CONST2, cfg)
 
 
 # --- sampling ----------------------------------------------------------------
