@@ -192,10 +192,9 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
         preconds.append(Verdict("rho_-(hess V_a) > 0", False, True, "not evaluated"))
         return _finalize("holley_stroock", False, math.inf, preconds, inputs, False)
 
-    if a.family == "identity" and p.hessian_lower_bound_exact:
-        rho_a = p.hessian_lower_bound
-        heur = False
-        detail = f"rho_a = {rho_a:.12g} (exact, V_a = V)"
+    if a.family == "identity":
+        rho_a, heur = p.hessian_lower_bound, not p.hessian_lower_bound_exact
+        detail = f"rho_a = {rho_a:.12g} ({'grid estimate' if heur else 'exact'}, V_a = V)"
     elif p.radial is not None and a.radial is not None:
         a_tot, b_tot = tilted_hess_split(p, a, _HS_GRID_T)
         radial_eig = a_tot * _HS_GRID_T + b_tot

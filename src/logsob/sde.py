@@ -83,6 +83,8 @@ class SdeConfig:
             raise ParameterError("dt must be positive")
         if not self.horizon >= self.dt:
             raise ParameterError("horizon must be at least dt")
+        if not (math.isfinite(self.horizon / self.dt) and self.n_steps < 1 << 32):
+            raise ParameterError("horizon / dt must be finite and below 2**32, the step key range")
         if self.n_paths < 1:
             raise ParameterError("n_paths must be positive")
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))

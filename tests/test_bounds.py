@@ -18,7 +18,7 @@ from logsob.perturbations import (
     identity_perturbation,
     make_custom_perturbation,
 )
-from logsob.potentials import make_potential
+from logsob.potentials import make_custom_potential, make_potential
 
 SQ3 = math.sqrt(3.0)
 
@@ -127,6 +127,21 @@ def test_hs_subbotin_arctan_d1_matches_manual_grid():
     if rep.valid:
         assert rep.constant == pytest.approx(math.exp(eps * math.pi) * 2.0 / rho_a, rel=1e-10)
         assert not rep.certified  # grid verdict stays heuristic
+
+
+def test_hs_identity_on_custom_potential_reads_the_hessian_floor():
+    # x^T diag(1, 2) x / 2: V_a = V, so the bound is Bakry-Emery's, from a grid estimate
+    p = make_custom_potential(
+        2,
+        value=lambda x: 0.5 * (x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2),
+        gradient=lambda x: np.stack([x[..., 0], 2.0 * x[..., 1]], axis=-1),
+        hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
+    )
+    rep = holley_stroock_bound(p, identity_perturbation())
+    assert rep.valid and not rep.certified
+    assert rep.constant == bakry_emery_bound(p).constant == 2.0
+    assert rep.preconditions[-1].heuristic
+    assert "grid estimate" in rep.preconditions[-1].detail
 
 
 def test_hs_unbounded_perturbation_invalid():

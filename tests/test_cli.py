@@ -133,6 +133,11 @@ def test_bound_bad_potential_exits_one(capsys):
       "--perturbation", "perturbation=arctan eps=inf"), "eps"),
     (("bound", "--potential", "family=subbotin alpha=4 dim=2",
       "--perturbation", "perturbation=arctan eps=1000"), "eps"),
+    (("simulate", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--t", "inf", "--paths", "10"), "horizon"),
+    (("verify", "--check", "martingale", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--t", "1e300", "--dt", "1e-300",
+      "--paths", "10"), "horizon"),
 ])
 def test_malformed_number_exits_one_with_manifest(capsys, argv, token):
     code, out, err = run(capsys, *argv)

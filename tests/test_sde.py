@@ -61,6 +61,12 @@ def test_config_validation():
         SdeConfig(dt=0.5, horizon=0.2, n_paths=1, seed=0, x0=(0.0,))
     with pytest.raises(ParameterError):
         SdeConfig(dt=0.1, horizon=1.0, n_paths=0, seed=0, x0=(0.0,))
+    # a non-finite horizon, and step counts outside the 32-bit step key range
+    for dt, horizon in ((0.1, math.inf), (math.inf, math.inf), (1e-300, 1e300),
+                        (1.0, 2.0**32), (0.5, 2.0**31)):
+        with pytest.raises(ParameterError, match="horizon"):
+            SdeConfig(dt=dt, horizon=horizon, n_paths=1, seed=0, x0=(0.0,))
+    assert SdeConfig(dt=1.0, horizon=2.0**32 - 1, n_paths=1, seed=0, x0=(0.0,)).n_steps == 2**32 - 1
 
 
 def _assert_same_paths(b1, b2):

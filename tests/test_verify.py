@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from logsob import rng
 from logsob.bounds import bakry_emery_bound, fk_bound, fk_mono_bound, optimize_epsilon
 from logsob.errors import EstimationError, ParameterError, PreconditionError
 from logsob.perturbations import (
@@ -14,6 +15,8 @@ from logsob.perturbations import (
 from logsob.potentials import make_potential
 from logsob.sde import SdeConfig, SmoothFunction
 from logsob.verify import (
+    N_BOOTSTRAP,
+    _entropy_estimates,
     builtin_test_family,
     entropy_ratio,
     lsi_audit,
@@ -395,7 +398,50 @@ def test_entropy_nonnegative_across_family():
         assert est.entropy >= -1e-12
 
 
+def _gather_bootstrap(f, samples, seed):
+    """The entropy estimate with each resample gathered from the samples, one
+    function at a time: the reference for the count-weighted bootstrap."""
+    g = f.value(samples) ** 2
+    glg = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
+    energy = np.sum(f.gradient(samples) ** 2, axis=-1)
+
+    def plug_in(idx):
+        mg = float(np.mean(g[idx]))
+        return float(np.mean(glg[idx])) - mg * math.log(mg), float(np.mean(energy[idx]))
+
+    n = len(samples)
+    ent, dir_ = plug_in(np.arange(n))
+    gen = rng.stream(seed, rng.TAG_BOOTSTRAP)
+    ents, dirs = np.array([plug_in(gen.integers(0, n, size=n)) for _ in range(N_BOOTSTRAP)]).T
+    stderrs = [float(np.std(x, ddof=1)) for x in (ents, dirs, ents / dirs)]
+    return ent, dir_, ent / dir_, stderrs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_count_bootstrap_matches_gathered_resamples(dim):
+    p = make_potential("subbotin", dim, alpha=4.0)
+    s = sample_measure(p, 3_000, seed=59)
+    fns = builtin_test_family(dim)
+    for f, est in zip(fns, _entropy_estimates(fns, s, N_BOOTSTRAP, 61)):
+        ent, dir_, ratio, stderrs = _gather_bootstrap(f, s, 61)
+        assert (est.entropy, est.dirichlet, est.ratio) == (ent, dir_, ratio), f.name
+        got = [est.entropy_stderr, est.dirichlet_stderr, est.ratio_stderr]
+        assert got == pytest.approx(stderrs, rel=1e-12, abs=0.0), f.name
+
+
 # --- audit ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_audit_ratios_equal_each_function_alone(dim):
+    p = make_potential("gaussian", dim, rho=1.0)
+    s = sample_measure(p, 5_000, seed=67)
+    rep = lsi_audit(p, bakry_emery_bound(p), s, seed=71)
+    alone = {f.name: entropy_ratio(p, f, s, seed=71) for f in builtin_test_family(dim)}
+    assert rep.details["ratios"] == {name: (est.ratio, est.ratio_stderr)
+                                     for name, est in alone.items()}
+    worst = rep.details["worst_function"]
+    assert float(rep.lhs) == alone[worst].ratio == max(e.ratio for e in alone.values())
+
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
 def test_audit_reports_one_ratio_per_test_function(dim):

@@ -88,8 +88,9 @@ def _commands() -> list:
                       ("family=subbotin alpha=4 dim=2", "perturbation=arctan eps=inf"),
                       ("family=subbotin alpha=4 dim=2", "perturbation=arctan eps=1000")):
         cmds.append(["bound", "--potential", pot, "--perturbation", pert])
-    cmds.append(["simulate", "--potential", "family=gaussian rho=1 dim=1",
-                 "--perturbation", "perturbation=identity", "--x0", "abc", "--paths", "10"])
+    for bad in (["--x0", "abc"], ["--t", "inf"]):
+        cmds.append(["simulate", "--potential", "family=gaussian rho=1 dim=1",
+                     "--perturbation", "perturbation=identity", *bad, "--paths", "10"])
     # checks on flagged estimates: about 1% of these paths diverge
     for check in ("monotone", "representation", "martingale"):
         cmds.append(["verify", "--check", check, "--potential", "family=subbotin alpha=4 dim=1",
