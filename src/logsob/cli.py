@@ -6,8 +6,8 @@ single JSON line (numpy warnings are listed in it, not printed), files are
 written only through --out / --emit-paths.
 
 Exit codes: 0 on success with all checks passing, 1 on precondition or
-validation failure (including a failed statistical check), 2 on usage
-errors.  All numbers are serialized with 17 significant digits; non-finite
+validation failure (including a failed statistical check) and on an
+output file that cannot be written, 2 on usage errors.  All numbers are serialized with 17 significant digits; non-finite
 values appear as the strings "inf", "-inf", "nan" so the output stays
 valid JSON.
 """
@@ -172,7 +172,14 @@ def _cmd_bound(args) -> tuple:
     return dumps(reports), True
 
 
+def _check_beta(args) -> None:
+    # only the double well has a beta; the manifest must not record an unread input
+    if args.family == "quadric" and args.beta is not None:
+        raise ParameterError("--beta applies only to double_well")
+
+
 def _cmd_certify(args) -> tuple:
+    _check_beta(args)
     if args.family == "quadric":
         cert = certify_quadric(args.eps, args.dim)
     elif args.family == "double_well":
@@ -210,6 +217,7 @@ def _parse_dims(spec: str):
 
 
 def _cmd_sweep(args) -> tuple:
+    _check_beta(args)
     rows = dimension_sweep(args.family, _parse_dims(args.dims), beta=args.beta)
     lines = ["d,eps,kappa,bound,envelope,valid,certified"]
     for r in rows:
@@ -411,20 +419,21 @@ def main(argv: Optional[list] = None) -> int:
         warnings.simplefilter("default")
         try:
             text, passed = _COMMANDS[args.command](args)
-        except (ParameterError, PreconditionError, EstimationError, EvaluationError) as exc:
+            if getattr(args, "emit_paths", None):
+                outputs.append(args.emit_paths)
+            # an unwritable --out or --emit-paths is an OSError, reported like the rest
+            out_path = getattr(args, "out", None)
+            if out_path:
+                with open(out_path, "w") as fh:
+                    fh.write(text + "\n")
+                outputs.append(out_path)
+            else:
+                print(text)
+        except (ParameterError, PreconditionError, EstimationError, EvaluationError,
+                OSError) as exc:
             error = f"{type(exc).__name__}: {exc}"
     manifest["warnings"] = list(dict.fromkeys(f"{w.category.__name__}: {w.message}"
                                               for w in caught))
-    if error is None:
-        out_path = getattr(args, "out", None)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-            outputs.append(out_path)
-        else:
-            print(text)
-        if getattr(args, "emit_paths", None):
-            outputs.append(args.emit_paths)
     manifest["finished"] = time.time()
     if error is not None:
         manifest["error"] = error

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, psi, psi_radial
@@ -185,6 +184,7 @@ def _radial_search(p, a, weight):
 
 def _multistart_search(p, a, weight, cfg: SearchConfig):
     from scipy.optimize import minimize
+    from scipy.stats import qmc
 
     d = p.dim
     sampler = qmc.Sobol(d, scramble=False)

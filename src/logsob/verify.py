@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import rng
 from .bounds import BoundReport, _a_nondecreasing
@@ -238,6 +237,8 @@ def _radial_log_density(p: Potential, r: np.ndarray) -> np.ndarray:
 
 
 def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
+    from scipy.integrate import cumulative_simpson
+
     # locate r_max with negligible tail mass: double until the integrand has
     # fallen 60 e-folds below its peak and keeps decaying
     r_max = 4.0
@@ -340,13 +341,14 @@ def _entropy_estimates(fns: Sequence[SmoothFunction], samples: np.ndarray, n_boo
         # einsum's own loop, not BLAS (`@`, np.dot), whose bits depend on its thread count
         boot[..., b] = np.einsum("ijk,k->ij", table, counts) / n
     boot_g, boot_glg, dirs = boot
+    # x log x -> 0 as x -> 0, so a function that is 0 on every sample has Ent = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ents = boot_glg - boot_g * np.log(boot_g)
+        ents = boot_glg - np.where(boot_g > 0, boot_g * np.log(boot_g), 0.0)
         ratios = np.where(dirs > 0, ents / dirs, 0.0)
     stderrs = np.std([ents, dirs, ratios], axis=2, ddof=1)
     out = []
     for i, (mg, mglg, dir_) in enumerate(np.mean(table, axis=2).T.tolist()):
-        ent = mglg - mg * math.log(mg)
+        ent = mglg - (mg * math.log(mg) if mg > 0 else 0.0)
         degenerate = dir_ <= 1e-14 * max(1.0, mg)
         if degenerate and ent > 1e-10:
             raise EstimationError("degenerate test function: zero energy, positive entropy")

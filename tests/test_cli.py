@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logsob
 from logsob.cli import EMIT_ROWS, _csv_cell, dumps, main
 from logsob.perturbations import parse_perturbation, render_perturbation
 from logsob.potentials import parse_potential, render_potential
@@ -197,6 +203,92 @@ def test_sweep_envelope_violation_exits_one_with_manifest(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err)["error"]
     assert error.startswith("EvaluationError") and "exceeds envelope" in error
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--family", "quadric", "--eps", "0.25", "--dim", "8"),
+    ("simulate", "--potential", "family=gaussian rho=1 dim=1",
+     "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
+     "--paths", "16", "--emit-paths"),
+])
+def test_unwritable_output_exits_one_with_manifest(tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "x.csv")
+    if argv[-1] != "--emit-paths":
+        argv += ("--out",)
+    code, out, err = run(capsys, *argv, target)
+    assert code == 1
+    assert out == ""
+    manifest = json.loads(err)
+    assert manifest["error"].startswith("FileNotFoundError") and target in manifest["error"]
+    assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("certify", ("--eps", "0.25", "--dim", "8")),
+    ("sweep", ("--dims", "1:2")),
+])
+def test_beta_with_quadric_exits_one(capsys, command, tail):
+    code, out, err = run(capsys, command, "--family", "quadric", *tail, "--beta", "0.25")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterError: --beta applies only to double_well"
+
+
+# --- start-up -------------------------------------------------------------------
+
+_STARTUP_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    import numpy as np
+    import logsob
+    from logsob import cli
+
+    SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+    def run(*argv):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return cli.main(list(argv))
+
+    pot, ident = "family=subbotin alpha=4 dim=2", "perturbation=identity"
+    lean = [
+        run("certify", "--family", "quadric", "--eps", "0.25", "--dim", "8"),
+        run("bound", "--potential", pot, "--perturbation", "perturbation=arctan eps=0.3"),
+        run("sweep", "--family", "quadric", "--dims", "1:2"),
+        run("simulate", "--potential", pot, "--perturbation", ident,
+            "--t", "0.02", "--dt", "0.01", "--paths", "64", "--x0", "0,0"),
+        run("verify", "--check", "martingale", "--potential", pot, "--perturbation", ident,
+            "--t", "0.02", "--dt", "0.01", "--paths", "1000"),
+    ]
+    lean_loaded = [m for m in SCIPY if m in sys.modules]
+    p = logsob.make_custom_potential(
+        2,
+        value=lambda x: 0.5 * (x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2),
+        gradient=lambda x: np.stack([x[..., 0], 2.0 * x[..., 1]], axis=-1),
+        hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
+    )
+    rep = logsob.kappa(p, logsob.identity_perturbation(), logsob.SearchConfig(n_starts=2))
+    print(json.dumps({
+        "lean": lean, "lean_loaded": lean_loaded,
+        "sample": run("sample", "--potential", pot, "-n", "10", "--method", "radial"),
+        "kappa": [rep.method, rep.value],
+        "loaded": [m for m in SCIPY if m in sys.modules],
+    }))
+""")
+
+
+def test_scipy_is_loaded_only_by_the_radial_sampler_and_multistart():
+    # a fresh process: the suite's own imports must not hide a module-level scipy import
+    src = str(Path(logsob.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["lean"] == [0] * 5
+    assert seen["lean_loaded"] == []
+    assert seen["sample"] == 0
+    assert seen["kappa"][0] == "full_grid" and seen["kappa"][1] == pytest.approx(2.0, abs=1e-6)
+    assert seen["loaded"] == ["scipy.stats", "scipy.integrate", "scipy.optimize"]
 
 
 # --- CSV cells -----------------------------------------------------------------

@@ -368,6 +368,17 @@ def test_entropy_ratio_constant_function_flagged():
     assert est.entropy == pytest.approx(0.0, abs=1e-12)
 
 
+def test_entropy_ratio_zero_function_is_degenerate():
+    p = make_potential("gaussian", 1, rho=1.0)
+    s = sample_measure(p, 1_000, seed=23)
+    zero = SmoothFunction("zero", value=lambda x: np.zeros(x.shape[:-1]),
+                          gradient=lambda x: np.zeros(x.shape))
+    est = entropy_ratio(p, zero, s)
+    assert est.degenerate
+    assert (est.entropy, est.dirichlet, est.ratio) == (0.0, 0.0, 0.0)
+    assert (est.entropy_stderr, est.dirichlet_stderr, est.ratio_stderr) == (0.0, 0.0, 0.0)
+
+
 def test_entropy_ratio_gaussian_tilt_saturates_two():
     theta = 0.8
     p = make_potential("gaussian", 1, rho=1.0)
