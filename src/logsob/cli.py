@@ -7,9 +7,9 @@ written only through --out / --emit-paths.
 
 Exit codes: 0 on success with all checks passing, 1 on precondition or
 validation failure (including a failed statistical check) and on an
-output file that cannot be written, 2 on usage errors.  All numbers are serialized with 17 significant digits; non-finite
-values appear as the strings "inf", "-inf", "nan" so the output stays
-valid JSON.
+output file that cannot be written, 2 on usage errors.  All numbers are
+serialized with 17 significant digits; non-finite values appear as the
+strings "inf", "-inf", "nan" so the output stays valid JSON.
 """
 
 from __future__ import annotations

@@ -205,17 +205,15 @@ def test_sweep_envelope_violation_exits_one_with_manifest(capsys, monkeypatch):
     assert error.startswith("EvaluationError") and "exceeds envelope" in error
 
 
-@pytest.mark.parametrize("argv", [
-    ("certify", "--family", "quadric", "--eps", "0.25", "--dim", "8"),
-    ("simulate", "--potential", "family=gaussian rho=1 dim=1",
-     "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
-     "--paths", "16", "--emit-paths"),
+@pytest.mark.parametrize("flag, argv", [
+    ("--out", ("certify", "--family", "quadric", "--eps", "0.25", "--dim", "8")),
+    ("--emit-paths", ("simulate", "--potential", "family=gaussian rho=1 dim=1",
+                      "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
+                      "--paths", "16")),
 ])
-def test_unwritable_output_exits_one_with_manifest(tmp_path, capsys, argv):
+def test_unwritable_output_exits_one_with_manifest(tmp_path, capsys, flag, argv):
     target = str(tmp_path / "missing" / "x.csv")
-    if argv[-1] != "--emit-paths":
-        argv += ("--out",)
-    code, out, err = run(capsys, *argv, target)
+    code, out, err = run(capsys, *argv, flag, target)
     assert code == 1
     assert out == ""
     manifest = json.loads(err)
