@@ -9,8 +9,8 @@ are scheduled across workers, and two runs with equal ``(seed, n_paths,
 n_steps)`` share their Brownian increments exactly (the common random
 numbers used by the finite-difference estimators).
 
-Samplers that are inherently sequential (inverse-CDF sampling, MALA,
-bootstrap resampling) draw from a single stream keyed by ``(seed, tag)``.
+Samplers that are inherently sequential (inverse-CDF sampling, MALA) draw
+from a single stream keyed by ``(seed, tag)``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ BLOCK_PATHS = 1 << 16
 # below 2**32, tags sit above so the key spaces cannot collide
 TAG_SAMPLER = 1 << 33
 TAG_MALA = 2 << 33
-TAG_BOOTSTRAP = 3 << 33
 
 
 def _generator(seed: int, word: int) -> np.random.Generator:
@@ -39,7 +38,7 @@ def step_normals(seed: int, block: int, step: int, n: int, dim: int) -> np.ndarr
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """Sequential generator for a named purpose (sampling, bootstrap, ...)."""
+    """Sequential generator for a named purpose (inverse-CDF sampling, MALA)."""
     return _generator(seed, tag)
 
 

@@ -318,49 +318,43 @@ def _sample_mala(p: Potential, n: int, seed: int) -> np.ndarray:
 # --- entropy / energy ratios -----------------------------------------------------
 
 
-N_BOOTSTRAP = 200  # bootstrap resamples behind each entropy standard error
+def entropy_ratio(p: Potential, f: SmoothFunction, samples: np.ndarray,
+                  n_bootstrap: int = 0, seed: int = 0) -> EntropyEstimate:
+    """Plug-in estimate of Ent(f^2) / int |grad f|^2 over the samples, with
+    delta-method standard errors from one pass over them.
 
+    With g = f^2 and R the ratio, the influence functions are
+    g log g - (log E g + 1) g for Ent, |grad f|^2 for the energy and
+    (IF_Ent - R |grad f|^2) / E |grad f|^2 for R; each standard error is
+    std(IF, ddof=1) / sqrt(n).  A degenerate function (zero energy) has
+    ratio 0 and ratio stderr 0.
 
-def _entropy_estimates(fns: Sequence[SmoothFunction], samples: np.ndarray, n_bootstrap: int,
-                       seed: int) -> list:
-    """Plug-in estimate of Ent(f^2) / int |grad f|^2 over the samples for each f in
-    ``fns``.  The rows f^2, f^2 log f^2, |grad f|^2 of all f form one table, and
-    each bootstrap resample is drawn once, as a count per sample, for the table."""
+    p, n_bootstrap and seed are unread.  The benchmark's tracer binds
+    n_bootstrap and its workloads pass seed, so the two go with the tracer
+    change of ROADMAP item 7.
+    """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
-    table = np.empty((3, len(fns), n))
-    for i, f in enumerate(fns):
-        g = np.square(np.asarray(f.value(samples), dtype=float))
-        glg = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
-        grad = np.asarray(f.gradient(samples), dtype=float)
-        table[:, i] = g, glg, np.sum(grad * grad, axis=-1)
-    gen = rng.stream(seed, rng.TAG_BOOTSTRAP)
-    boot = np.empty((3, len(fns), n_bootstrap))
-    for b in range(n_bootstrap):
-        counts = np.bincount(gen.integers(0, n, size=n), minlength=n)
-        # einsum's own loop, not BLAS (`@`, np.dot), whose bits depend on its thread count
-        boot[..., b] = np.einsum("ijk,k->ij", table, counts) / n
-    boot_g, boot_glg, dirs = boot
+    if n < 2:
+        raise EstimationError(f"only {n} samples; cannot estimate")
+    g = np.square(np.asarray(f.value(samples), dtype=float))
+    glg = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
+    grad = np.asarray(f.gradient(samples), dtype=float)
+    energy = np.sum(grad * grad, axis=-1)
+    mg, mglg, dir_ = (float(np.mean(x)) for x in (g, glg, energy))
     # x log x -> 0 as x -> 0, so a function that is 0 on every sample has Ent = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ents = boot_glg - np.where(boot_g > 0, boot_g * np.log(boot_g), 0.0)
-        ratios = np.where(dirs > 0, ents / dirs, 0.0)
-    stderrs = np.std([ents, dirs, ratios], axis=2, ddof=1)
-    out = []
-    for i, (mg, mglg, dir_) in enumerate(np.mean(table, axis=2).T.tolist()):
-        ent = mglg - (mg * math.log(mg) if mg > 0 else 0.0)
-        degenerate = dir_ <= 1e-14 * max(1.0, mg)
-        if degenerate and ent > 1e-10:
-            raise EstimationError("degenerate test function: zero energy, positive entropy")
-        out.append(EntropyEstimate(ent, dir_, 0.0 if degenerate else ent / dir_,
-                                   *stderrs[:, i].tolist(), n, degenerate))
-    return out
-
-
-def entropy_ratio(p: Potential, f: SmoothFunction, samples: np.ndarray,
-                  n_bootstrap: int = N_BOOTSTRAP, seed: int = 0) -> EntropyEstimate:
-    """Plug-in estimate of Ent(f^2) / int |grad f|^2 over the samples; p is unread."""
-    return _entropy_estimates([f], samples, n_bootstrap, seed)[0]
+    # and IF_Ent = 0
+    log_mg = math.log(mg) if mg > 0 else 0.0
+    ent = mglg - mg * log_mg
+    if_ent = glg - (log_mg + 1.0) * g
+    degenerate = dir_ <= 1e-14 * max(1.0, mg)
+    if degenerate and ent > 1e-10:
+        raise EstimationError("degenerate test function: zero energy, positive entropy")
+    ratio = 0.0 if degenerate else ent / dir_
+    if_ratio = np.zeros(n) if degenerate else (if_ent - ratio * energy) / dir_
+    ent_se, dir_se, ratio_se = (float(np.std(x, ddof=1)) / math.sqrt(n)
+                                for x in (if_ent, energy, if_ratio))
+    return EntropyEstimate(ent, dir_, ratio, ent_se, dir_se, ratio_se, n, degenerate)
 
 
 def tilt_function(name: str, theta: float, u: np.ndarray) -> SmoothFunction:
@@ -429,9 +423,9 @@ def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
         raise PreconditionError("bound.valid", "cannot audit an invalid bound")
     samples = np.asarray(samples, dtype=float)
     fns = builtin_test_family(samples.shape[1])
-    ratios = {f.name: (est.ratio, est.ratio_stderr)
-              for f, est in zip(fns, _entropy_estimates(fns, samples, N_BOOTSTRAP, seed))
-              if not est.degenerate}
+    ests = {f.name: entropy_ratio(p, f, samples, seed=seed) for f in fns}
+    ratios = {name: (est.ratio, est.ratio_stderr)
+              for name, est in ests.items() if not est.degenerate}
     worst_name = max(ratios, key=lambda name: ratios[name][0], default="")
     worst_ratio, worst_se = ratios.get(worst_name, (-math.inf, 0.0))
     passed = worst_ratio <= bound.constant + K_SIGMA * worst_se

@@ -509,6 +509,16 @@ def test_verify_audit_ignores_the_sde_and_function_options(capsys):
     assert out == reference
 
 
+def test_verify_audit_on_one_sample_exits_one(capsys):
+    # one sample gives every ratio 0 with stderr 0: no evidence to pass on
+    code, out, err = run(capsys, "verify", "--check", "audit",
+                         "--potential", "family=subbotin alpha=4 dim=1",
+                         "--perturbation", "perturbation=arctan eps=0.3", "--paths", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "EstimationError: only 1 samples; cannot estimate"
+
+
 def test_verify_martingale_ignores_the_function_option(capsys):
     argv = ("verify", "--check", "martingale", "--potential", "family=subbotin alpha=4 dim=2",
             "--perturbation", "perturbation=arctan eps=0.4", "--t", "0.1", "--dt", "0.01",

@@ -109,6 +109,9 @@ def _commands() -> list:
               *SDE, "--f", "nosuch"],
              ["verify", "--check", "representation", "--potential", "family=gaussian rho=1 dim=1",
               "--perturbation", "perturbation=identity", "--f", "nosuch", "--paths", "100"]]
+    # one sample is no evidence: the audit exits 1
+    cmds.append(["verify", "--check", "audit", "--potential", "family=subbotin alpha=4 dim=1",
+                 "--perturbation", "perturbation=arctan eps=0.3", "--paths", "1"])
     return cmds
 
 
