@@ -49,6 +49,7 @@ from .potentials import (
 )
 from .sde import (
     EstimateResult,
+    Lane,
     PathBatch,
     SdeConfig,
     SmoothFunction,
@@ -56,6 +57,7 @@ from .sde import (
     estimate_fk_gradient,
     estimate_gradient_fd,
     simulate,
+    simulate_lanes,
 )
 from .verify import (
     CheckReport,

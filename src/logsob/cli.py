@@ -39,7 +39,7 @@ from .curvature import certify_double_well, certify_quadric
 from .errors import EstimationError, EvaluationError, ParameterError, PreconditionError
 from .perturbations import parse_perturbation
 from .potentials import parse_potential
-from .sde import SdeConfig, SmoothFunction, simulate
+from .sde import SdeConfig, SmoothFunction, _reduce, simulate
 from .threads import worker_count
 from .verify import (
     lsi_audit,
@@ -236,19 +236,20 @@ def _cmd_simulate(args) -> tuple:
     variant = "perturbed" if a.family != "identity" else "plain"
     # the tangent flow feeds only the j_norm column of --emit-paths
     batch = simulate(p, a, cfg, variant=variant, tangent=bool(args.emit_paths))
-    valid = ~batch.divergent
-    weights = batch.weights()
+    # fewer than two valid paths have no mean and standard error: _reduce
+    # raises EstimationError, and the run exits 1
+    x_t, weight, psi_integral = (_reduce(values, batch.divergent)
+                                 for values in (batch.x_t, batch.weights(), batch.psi_integral))
     summary = {
         "variant": variant,
         "n_paths": cfg.n_paths,
         "n_steps": cfg.n_steps,
         "dt": cfg.dt_eff,
         "n_divergent": batch.n_divergent,
-        "mean_x_t": [float(v) for v in np.mean(batch.x_t[valid], axis=0)],
-        "mean_weight": float(np.mean(weights[valid])),
-        "stderr_weight": float(np.std(weights[valid], ddof=1)
-                               / math.sqrt(max(int(valid.sum()), 2))),
-        "mean_psi_integral": float(np.mean(batch.psi_integral[valid])),
+        "mean_x_t": [float(v) for v in x_t.mean],
+        "mean_weight": float(weight.mean),
+        "stderr_weight": float(weight.std_error),
+        "mean_psi_integral": float(psi_integral.mean),
     }
     if args.emit_paths:
         _write_paths(args.emit_paths, batch)

@@ -35,8 +35,20 @@ Determinism: the Gaussian increment for (path, step) is a fixed function
 of (seed, path block, step) through the Philox streams of
 :mod:`logsob.rng`, so path records are bit-identical for a given
 ``SdeConfig`` no matter how many workers run, and runs sharing a config
-share their Brownian increments (common random numbers).  Every block
-integrates in place on its own rows of the one :class:`PathBatch`.
+share their Brownian increments (common random numbers).
+
+Lanes: :func:`simulate_lanes` integrates several runs on one config, each
+a :class:`Lane` with its own x0, variant and tangent flag.  Every block
+draws each step's increments once and steps every lane with them through
+the same step body, so each lane is bit-identical to a separate
+:func:`simulate` of it; :func:`simulate` is the one-lane call.  Each lane
+integrates in place on its own rows of its own :class:`PathBatch`.
+
+Tiles: the tangent update runs on tiles of :func:`tile_rows` rows (1 MB
+of J, ``TANGENT_TILE`` entries), so each block holds two tile-sized
+scratch arrays beside J whatever its size, and a potential without a
+radial profile builds its Hessian one tile at a time.  The operations on
+each row are those of a block-wide pass, bit for bit.
 
 A path whose next state fails |x|^2 <= 1e16 (as a NaN or an infinite
 coordinate does), or whose psi_a turns non-finite on a weighted path, is
@@ -51,10 +63,11 @@ diverged, or when its perturbed paths visited a |grad a|/a above the sup
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +81,13 @@ DIVERGENCE_RADIUS = 1e8
 MAX_DIVERGENT_FRACTION = 1e-3
 # shift of the initial condition in the central-difference gradient oracle
 FD_STEP = 1e-3
+# entries of one scratch tile of the tangent update: 2**17 doubles, 1 MB
+TANGENT_TILE = 1 << 17
+
+
+def tile_rows(d: int) -> int:
+    """Rows of J that one tangent-update tile holds in dimension d."""
+    return max(1, TANGENT_TILE // (d * d))
 
 
 @dataclass(frozen=True)
@@ -148,21 +168,52 @@ class PathBatch:
         return np.exp(self.girsanov_log_weight)
 
 
+class Lane(NamedTuple):
+    """One run of :func:`simulate_lanes`: its initial state, its variant
+    ("plain" or "perturbed") and whether it integrates the tangent flow."""
+
+    x0: tuple
+    variant: str
+    tangent: bool
+
+
 def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plain",
              track_stochastic_weight: bool = False,
              checkpoint_times: Sequence[float] = (),
              max_workers: Optional[int] = None, tangent: bool = True) -> PathBatch:
-    """Run all paths of ``cfg`` and return their terminal records.
+    """Run all paths of ``cfg`` and return their terminal records: the
+    one-lane call of :func:`simulate_lanes`.
 
     The path blocks run on ``max_workers`` threads (default
     :func:`~logsob.threads.worker_count`).  With ``tangent=False`` the
     tangent flow is not integrated and the batch's ``j_t`` is None; every
     other output is bit-identical.
     """
-    if variant not in ("plain", "perturbed"):
-        raise ParameterError("variant must be 'plain' or 'perturbed'")
-    if cfg.dim != p.dim:
-        raise ParameterError(f"x0 has dimension {cfg.dim}, potential has {p.dim}")
+    (batch,) = simulate_lanes(p, a, cfg, (Lane(cfg.x0, variant, tangent),),
+                              track_stochastic_weight, checkpoint_times, max_workers)
+    return batch
+
+
+def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequence[Lane],
+                   track_stochastic_weight: bool = False,
+                   checkpoint_times: Sequence[float] = (),
+                   max_workers: Optional[int] = None) -> tuple:
+    """Run every lane on the paths of ``cfg`` with one set of Brownian
+    increments, and return one :class:`PathBatch` per lane.
+
+    Each block draws its increments once per step and steps every lane
+    with them, so each lane's batch is bit-identical to a :func:`simulate`
+    of ``cfg`` with the lane's x0, variant and tangent flag; its ``cfg``
+    carries the lane's x0.  Stochastic weights and checkpoints are
+    recorded on every weighted lane.
+    """
+    for lane in lanes:
+        if lane.variant not in ("plain", "perturbed"):
+            raise ParameterError("variant must be 'plain' or 'perturbed'")
+    lane_cfgs = [dataclasses.replace(cfg, x0=lane.x0) for lane in lanes]
+    for lane_cfg in lane_cfgs:
+        if lane_cfg.dim != p.dim:
+            raise ParameterError(f"x0 has dimension {lane_cfg.dim}, potential has {p.dim}")
     workers = worker_count() if max_workers is None else max_workers
     if workers < 1:
         raise ParameterError("max_workers must be at least 1")
@@ -175,34 +226,59 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
                                  f"steps 1..{cfg.n_steps}")
         checkpoint_steps[float(t)] = k
 
-    weighted = variant == "perturbed" and a.family != "identity"
-    batch = PathBatch(
-        cfg=cfg,
-        x_t=np.tile(np.asarray(cfg.x0, dtype=float), (n, 1)),
-        j_t=np.tile(np.eye(d), (n, 1, 1)) if tangent else None,
+    batches = tuple(PathBatch(
+        cfg=lane_cfg,
+        x_t=np.tile(np.asarray(lane_cfg.x0, dtype=float), (n, 1)),
+        j_t=np.tile(np.eye(d), (n, 1, 1)) if lane.tangent else None,
         girsanov_log_weight=np.zeros(n),
         psi_integral=np.zeros(n),
         divergent=np.zeros(n, dtype=bool),
         checkpoint_log_weights={t: np.zeros(n) for t in checkpoint_steps},
         log_weight_stochastic=np.zeros(n) if track_stochastic_weight else None,
-    )
+    ) for lane, lane_cfg in zip(lanes, lane_cfgs))
+    weighted = [lane.variant == "perturbed" and a.family != "identity" for lane in lanes]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        observed = max(pool.map(
-            lambda block: _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch),
+        observed = list(pool.map(
+            lambda block: _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted),
             rng.block_ranges(n)))
-    batch.observed_sup_log_grad = observed
-    # post hoc admissibility: the visited states must not reveal a larger
-    # |grad a|/a than the norm the weights were justified with
-    batch.g_condition_exceeded = observed > a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12
-    return batch
+    for batch, lane_observed in zip(batches, zip(*observed)):
+        batch.observed_sup_log_grad = max(lane_observed)
+        # post hoc admissibility: the visited states must not reveal a larger
+        # |grad a|/a than the norm the weights were justified with
+        batch.g_condition_exceeded = (batch.observed_sup_log_grad
+                                      > a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12)
+    return batches
 
 
-def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
-    """Integrate the paths of ``block`` = (b, lo, hi) in place on rows
-    lo:hi of ``batch``, which hold the initial state, and return the sup of
-    |grad a|/a they visited (0 on unweighted paths, whose zero weight rows
-    stand)."""
+def _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted) -> list:
+    """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
+    on rows lo:hi of its batch, which hold the initial state, and return
+    per lane the sup of |grad a|/a they visited.  Each step's increments
+    are drawn once and fed to every lane."""
     b, lo, hi = block
+    d = cfg.dim
+    # scratch of the tangent update, one tile each, shared by the lanes and
+    # reused on every step
+    work = None
+    if any(batch.j_t is not None for batch in batches):
+        rows = min(hi - lo, tile_rows(d))
+        work = (np.empty((rows, d, d)), np.empty((rows, d, d)))
+    lanes = [_lane_steps(p, a, cfg, w, batch, lo, hi, checkpoint_steps, work)
+             for batch, w in zip(batches, weighted)]
+    for lane in lanes:
+        next(lane)
+    for k in range(cfg.n_steps):
+        xi = rng.step_normals(cfg.seed, b, k, hi - lo, d)
+        # after the last step each lane answers with its sup of |grad a|/a
+        observed = [lane.send(xi) for lane in lanes]
+    return observed
+
+
+def _lane_steps(p, a, cfg, weighted, batch, lo, hi, checkpoint_steps, work):
+    """The paths of one lane on rows lo:hi of ``batch``, as a generator:
+    primed with ``next``, it takes each step's increments by ``send`` and
+    answers the last step with the sup of |grad a|/a the paths visited (0
+    on unweighted paths, whose zero weight rows stand)."""
     n = hi - lo
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
@@ -210,8 +286,6 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
     x = batch.x_t[lo:hi]
     t = np.einsum("ni,ni->n", x, x)
     j = None if batch.j_t is None else batch.j_t[lo:hi]
-    # scratch of the tangent update, reused on every step
-    work = None if j is None else (np.empty_like(j), np.empty_like(j))
     alive = np.ones(n, dtype=bool)
     fields = _step_fields(p, a, weighted)
     drift, lg_norm2, psi_x = fields(x, t)
@@ -237,7 +311,7 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
     for k in range(cfg.n_steps):
-        xi = rng.step_normals(cfg.seed, b, k, n, cfg.dim)
+        xi = yield
         if track_stoch:
             lg = np.asarray(a.log_grad(x), dtype=float)
             stoch_inc = (math.sqrt(2.0) * math.sqrt(dt) * np.einsum("ni,ni->n", lg, xi)
@@ -257,6 +331,8 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
             _tangent_step(p, j, x, t, dt, True if everyone else alive[:, None, None], work)
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
         np.copyto(t, t_new, where=True if everyone else alive)
+        # a lane waiting for the next step holds only its state
+        del x_new, t_new
         drift, lg_norm2, psi_x = fields(x, t)
         if weighted:
             observed_lg = max(observed_lg, float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5)
@@ -269,7 +345,7 @@ def _run_block(p, a, cfg, weighted, block, checkpoint_steps, batch) -> float:
     batch.divergent[lo:hi] = ~alive
     if weighted:
         batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = log_weight()
-    return observed_lg
+    yield observed_lg
 
 
 def _step_fields(p, a, weighted):
@@ -308,24 +384,34 @@ def _tangent_step(p, j, x, t, dt, keep, work):
     """One Euler step of the tangent flow in place: J <- J - dt J hess V(x)
     on the paths where ``keep`` (a mask over J, or True) holds; t = |x|^2.
 
+    The update runs on tiles of as many rows as the scratch pair ``work``
+    holds, so its memory does not grow with the block; every row goes
+    through the same operations as in one block-wide pass, bit for bit.
     For a radial potential, hess V = A x x^T + B I with (A, B) from
     ``p.radial.hess_split(t)``, so J hess V = B J + A (J x) x^T and no
     Hessian is built.  When A vanishes on the whole block (the Gaussian)
     the update is the scalar recursion J - dt (B J), bit for bit.
-    Potentials without a radial profile multiply by their built Hessian."""
+    Potentials without a radial profile multiply by their built Hessian,
+    evaluated one tile at a time."""
     upd, outer = work
-    if p.radial is None:
-        np.matmul(j, np.asarray(p.hessian(x), dtype=float), out=upd)
-    else:
+    if p.radial is not None:
         a_coef, b_coef = p.radial.hess_split(t)
-        np.multiply(j, b_coef[:, None, None], out=upd)
-        if np.any(a_coef):
-            jx = np.einsum("nij,nj->ni", j, x)
-            jx *= a_coef[:, None]
-            np.multiply(jx[:, :, None], x[:, None, :], out=outer)
-            upd += outer
-    upd *= dt
-    np.subtract(j, upd, out=j, where=keep)
+        use_a = bool(np.any(a_coef))
+    for lo in range(0, len(j), len(upd)):
+        hi = min(lo + len(upd), len(j))
+        jt, u = j[lo:hi], upd[:hi - lo]
+        if p.radial is None:
+            np.matmul(jt, np.asarray(p.hessian(x[lo:hi]), dtype=float), out=u)
+        else:
+            np.multiply(jt, b_coef[lo:hi, None, None], out=u)
+            if use_a:
+                jx = np.einsum("nij,nj->ni", jt, x[lo:hi])
+                jx *= a_coef[lo:hi, None]
+                o = outer[:hi - lo]
+                np.multiply(jx[:, :, None], x[lo:hi, None, :], out=o)
+                u += o
+        u *= dt
+        np.subtract(jt, u, out=jt, where=keep if keep is True else keep[lo:hi])
 
 
 # --- estimators ---------------------------------------------------------------
@@ -415,21 +501,34 @@ def estimate_gradient_fd(p: Potential, cfg: SdeConfig, f: SmoothFunction) -> Est
     """Central differences of x0 -> E[f(X_T^x0)] with step FD_STEP and
     common random numbers.
 
-    Both shifted runs reuse the Brownian increments of ``cfg.seed``, so the
-    difference is computed pathwise and its variance stays O(1) in the step.
+    The 2d shifted runs are the lanes of :func:`_fd_lanes`, integrated in
+    one :func:`simulate_lanes` call on the Brownian increments of
+    ``cfg.seed``, so each difference is computed pathwise and its variance
+    stays O(1) in the step.
     """
+    return _fd_gradient(f, simulate_lanes(p, identity_perturbation(), cfg, _fd_lanes(cfg)))
+
+
+def _fd_lanes(cfg: SdeConfig) -> tuple:
+    """Plain lanes without the tangent flow from x0 + FD_STEP e_i and
+    x0 - FD_STEP e_i, in that order for each coordinate i."""
     d = cfg.dim
     x0 = np.asarray(cfg.x0, dtype=float)
-    a_id = identity_perturbation()
-    diffs = []
-    divergent = np.zeros(cfg.n_paths, dtype=bool)
+    lanes = []
     for i in range(d):
         shift = np.zeros(d)
         shift[i] = FD_STEP
-        cfg_p = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 + shift))
-        cfg_m = SdeConfig(cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed, tuple(x0 - shift))
-        bp = simulate(p, a_id, cfg_p, tangent=False)
-        bm = simulate(p, a_id, cfg_m, tangent=False)
+        lanes += [Lane(tuple(x0 + shift), "plain", False), Lane(tuple(x0 - shift), "plain", False)]
+    return tuple(lanes)
+
+
+def _fd_gradient(f: SmoothFunction, batches: Sequence[PathBatch]) -> EstimateResult:
+    """The central-difference estimate over the batches of the
+    :func:`_fd_lanes` lanes; a path counts as divergent when it diverged
+    in any of them."""
+    diffs = []
+    divergent = np.zeros(len(batches[0]), dtype=bool)
+    for bp, bm in zip(batches[::2], batches[1::2]):
         fp = np.asarray(f.value(bp.x_t), dtype=float)
         fm = np.asarray(f.value(bm.x_t), dtype=float)
         diffs.append((fp - fm) / (2.0 * FD_STEP))

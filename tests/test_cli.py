@@ -414,6 +414,28 @@ def test_simulate_deterministic_given_seed(capsys):
     assert out1 == out2
 
 
+def test_simulate_with_every_path_divergent_exits_one(capsys):
+    # every path leaves the divergence radius on its second step
+    code, out, err = run(capsys, "simulate", "--potential", "family=subbotin alpha=4 dim=2",
+                         "--perturbation", "perturbation=identity", "--t", "1.8", "--dt", "0.9",
+                         "--paths", "50", "--seed", "43", "--x0", "50,-50")
+    assert code == 1
+    assert out == ""
+    manifest = json.loads(err)
+    assert manifest["error"] == "EstimationError: only 0 valid paths; cannot estimate"
+    assert manifest["warnings"] == []
+
+
+def test_simulate_with_one_path_exits_one(capsys):
+    # one path has no standard error
+    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
+                         "--perturbation", "perturbation=arctan eps=0.3", "--t", "0.1",
+                         "--dt", "0.01", "--paths", "1", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "EstimationError: only 1 valid paths; cannot estimate"
+
+
 # --- verify -------------------------------------------------------------------------
 
 def test_verify_martingale_small_run(capsys):

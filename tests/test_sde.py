@@ -17,8 +17,10 @@ from logsob.potentials import make_custom_potential, make_potential
 from logsob.rng import BLOCK_PATHS
 from logsob.sde import (
     DIVERGENCE_RADIUS,
+    Lane,
     SdeConfig,
     SmoothFunction,
+    _fd_lanes,
     _step_fields,
     _tangent_step,
     estimate_expectation,
@@ -29,6 +31,8 @@ from logsob.sde import (
     payoff_weight,
     payoff_weighted_terminal,
     simulate,
+    simulate_lanes,
+    tile_rows,
 )
 
 LINEAR = SmoothFunction(
@@ -117,31 +121,44 @@ def _point_path_quartic(d):
     return make_custom_potential(d, q.value, q.gradient, q.hessian)
 
 
+# a lane is (x0, variant, tangent); x0 index 0 is the config's own x0 and
+# 1..4 are the central-difference shifts of _fd_lanes
+_LANES = st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["plain", "perturbed"]),
+                            st.booleans()), min_size=1, max_size=3)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n_paths=st.integers(1, 2 * BLOCK_PATHS + 1000).filter(lambda n: n % BLOCK_PATHS),
-       workers=st.integers(1, 3), tangent=st.booleans(),
-       variant=st.sampled_from(["plain", "perturbed"]),
+       workers=st.integers(1, 3), lanes=_LANES,
        evaluator=st.sampled_from(["closed_form", "point"]))
-@example(n_paths=2 * BLOCK_PATHS + 1, workers=2, tangent=False, variant="perturbed",
+@example(n_paths=2 * BLOCK_PATHS + 1, workers=2, lanes=[(0, "perturbed", False)],
          evaluator="closed_form")
-@example(n_paths=2 * BLOCK_PATHS + 1, workers=3, tangent=True, variant="perturbed",
+@example(n_paths=2 * BLOCK_PATHS + 1, workers=3, lanes=[(0, "perturbed", True)],
          evaluator="point")
-def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, tangent,
-                                                             variant, evaluator):
+@example(n_paths=BLOCK_PATHS + 7, workers=3, evaluator="point",
+         lanes=[(0, "plain", True), (0, "perturbed", True), (1, "plain", False), (4, "plain", False)])
+@example(n_paths=BLOCK_PATHS + 7, workers=2, evaluator="closed_form",
+         lanes=[(0, "plain", True), (0, "perturbed", True), (2, "plain", False), (3, "plain", False)])
+def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, lanes,
+                                                             evaluator):
+    """Every field of every lane of a simulate_lanes call on any worker count
+    is bit-identical to a separate one-worker simulate of that lane."""
     if evaluator == "point":
         p = _point_path_quartic(2)
     else:
         p = make_potential("subbotin", 2, alpha=4.0)
+    a = arctan_perturbation(0.4)
     cfg = SdeConfig(dt=0.01, horizon=0.02, n_paths=n_paths, seed=17, x0=(0.5, -0.5))
-
-    def run(max_workers):
-        return simulate(p, arctan_perturbation(0.4), cfg, variant=variant,
-                        track_stochastic_weight=True, checkpoint_times=(0.01, 0.02),
-                        max_workers=max_workers, tangent=tangent)
-
-    ref, other = run(1), run(workers)
-    for field in dataclasses.fields(ref):
-        assert _same_bits(getattr(ref, field.name), getattr(other, field.name)), field.name
+    x0s = (cfg.x0,) + tuple(lane.x0 for lane in _fd_lanes(cfg))
+    lanes = tuple(Lane(x0s[i], variant, tangent) for i, variant, tangent in lanes)
+    options = dict(track_stochastic_weight=True, checkpoint_times=(0.01, 0.02))
+    together = simulate_lanes(p, a, cfg, lanes, max_workers=workers, **options)
+    assert len(together) == len(lanes)
+    for lane, batch in zip(lanes, together):
+        ref = simulate(p, a, dataclasses.replace(cfg, x0=lane.x0), variant=lane.variant,
+                       max_workers=1, tangent=lane.tangent, **options)
+        for field in dataclasses.fields(ref):
+            assert _same_bits(getattr(ref, field.name), getattr(batch, field.name)), field.name
 
 
 def test_worker_count_below_one_is_rejected():
@@ -218,6 +235,76 @@ def test_tangent_step_freezes_dropped_paths():
     stepped = _one_tangent_step(p, j, x, 0.01, keep)
     assert np.array_equal(stepped[~keep], j[~keep])
     assert not np.any(np.all(stepped[keep] == j[keep], axis=(1, 2)))
+
+
+def _block_tangent_step(p, j, x, t, dt, keep):
+    """The tangent update in one block-wide pass over two block-sized
+    buffers: the reference the tiled update must reproduce bit for bit."""
+    upd, outer = np.empty_like(j), np.empty_like(j)
+    if p.radial is None:
+        np.matmul(j, np.asarray(p.hessian(x), dtype=float), out=upd)
+    else:
+        a_coef, b_coef = p.radial.hess_split(t)
+        np.multiply(j, b_coef[:, None, None], out=upd)
+        if np.any(a_coef):
+            jx = np.einsum("nij,nj->ni", j, x)
+            jx *= a_coef[:, None]
+            np.multiply(jx[:, :, None], x[:, None, :], out=outer)
+            upd += outer
+    upd *= dt
+    np.subtract(j, upd, out=j, where=keep)
+
+
+def _hessian_recorder(d, calls):
+    """The subbotin alpha=4 potential without its radial profile, recording
+    the shape of every Hessian batch."""
+    q = make_potential("subbotin", d, alpha=4.0)
+
+    def hessian(x):
+        calls.append(x.shape)
+        return q.hessian(x)
+
+    return make_custom_potential(d, q.value, q.gradient, hessian)
+
+
+@pytest.mark.parametrize("kind", ["subbotin", "gaussian", "custom"])
+def test_tiled_tangent_step_is_the_block_update_bit_for_bit(kind):
+    d = 8
+    rows = tile_rows(d)
+    assert rows * d * d * 8 == 1 << 20
+    n = 3 * rows + 37
+    calls = []
+    p = {"subbotin": lambda: make_potential("subbotin", d, alpha=4.0),
+         "gaussian": lambda: make_potential("gaussian", d, rho=1.7),
+         "custom": lambda: _hessian_recorder(d, calls)}[kind]()
+    j, x = _random_state(d, n)
+    t = np.einsum("ni,ni->n", x, x)
+    # a dropped path in the last, partial tile
+    keep = np.ones(n, dtype=bool)
+    keep[n - 5] = False
+    ref = j.copy()
+    _block_tangent_step(p, ref, x, t, 0.01, keep[:, None, None])
+    calls.clear()
+    tiled = j.copy()
+    _tangent_step(p, tiled, x, t, 0.01, keep[:, None, None],
+                  (np.empty((rows, d, d)), np.empty((rows, d, d))))
+    assert tiled.tobytes() == ref.tobytes()
+    assert np.array_equal(tiled[n - 5], j[n - 5])
+    if kind == "custom":
+        assert calls == [(rows, d)] * 3 + [(37, d)]
+
+
+def test_simulate_hands_the_hessian_one_tile_at_a_time():
+    d = 8
+    rows = tile_rows(d)
+    calls = []
+    p = _hessian_recorder(d, calls)
+    cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=3 * rows + 37, seed=2, x0=(0.3,) * d)
+    calls.clear()
+    batch = simulate(p, identity_perturbation(), cfg, max_workers=1)
+    assert calls == ([(rows, d)] * 3 + [(37, d)]) * cfg.n_steps
+    ref = simulate(make_potential("subbotin", d, alpha=4.0), identity_perturbation(), cfg)
+    assert np.max(np.abs(batch.j_t - ref.j_t)) <= 1e-12
 
 
 def test_divergent_paths_keep_their_tangent_flow():

@@ -112,6 +112,13 @@ def _commands() -> list:
     # one sample is no evidence: the audit exits 1
     cmds.append(["verify", "--check", "audit", "--potential", "family=subbotin alpha=4 dim=1",
                  "--perturbation", "perturbation=arctan eps=0.3", "--paths", "1"])
+    # fewer than two valid paths: simulate exits 1 rather than print "nan"
+    cmds += [["simulate", "--potential", "family=subbotin alpha=4 dim=2",
+              "--perturbation", "perturbation=identity", "--t", "1.8", "--dt", "0.9",
+              "--paths", "50", "--seed", "43", "--x0", "50,-50"],
+             ["simulate", "--potential", "family=gaussian rho=1 dim=1",
+              "--perturbation", "perturbation=arctan eps=0.3", "--t", "0.1", "--dt", "0.01",
+              "--paths", "1", "--seed", "3"]]
     return cmds
 
 
