@@ -123,11 +123,14 @@ def _csv_cell(v) -> str:
     return "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def _parse_x0(text: str) -> tuple:
+def _sde_config(args, dim: int) -> SdeConfig:
+    """The paths of a simulate or verify run: without --x0 they start at
+    the origin of the potential's dimension ``dim``."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        x0 = tuple(float(v) for v in args.x0.split(",")) if args.x0 else (0.0,) * dim
     except ValueError:
-        raise ParameterError(f"bad --x0 {text!r}: expected comma-separated numbers") from None
+        raise ParameterError(f"bad --x0 {args.x0!r}: expected comma-separated numbers") from None
+    return SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
 
 
 # --- named test functions ----------------------------------------------------
@@ -231,25 +234,25 @@ def _cmd_sweep(args) -> tuple:
 def _cmd_simulate(args) -> tuple:
     p = parse_potential(args.potential)
     a = parse_perturbation(args.perturbation)
-    x0 = _parse_x0(args.x0)
-    cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
+    cfg = _sde_config(args, p.dim)
     variant = "perturbed" if a.family != "identity" else "plain"
     # the tangent flow feeds only the j_norm column of --emit-paths
     batch = simulate(p, a, cfg, variant=variant, tangent=bool(args.emit_paths))
     # fewer than two valid paths have no mean and standard error: _reduce
-    # raises EstimationError, and the run exits 1
-    x_t, weight, psi_integral = (_reduce(values, batch.divergent)
-                                 for values in (batch.x_t, batch.weights(), batch.psi_integral))
+    # raises EstimationError, and the run exits 1.  Only the weight's
+    # standard error is printed; the other means are those of _reduce.
+    weight = _reduce(batch.weights(), batch.divergent)
+    valid = ~batch.divergent
     summary = {
         "variant": variant,
         "n_paths": cfg.n_paths,
         "n_steps": cfg.n_steps,
         "dt": cfg.dt_eff,
         "n_divergent": batch.n_divergent,
-        "mean_x_t": [float(v) for v in x_t.mean],
+        "mean_x_t": [float(v) for v in np.mean(batch.x_t[valid], axis=0)],
         "mean_weight": float(weight.mean),
         "stderr_weight": float(weight.std_error),
-        "mean_psi_integral": float(psi_integral.mean),
+        "mean_psi_integral": float(np.mean(batch.psi_integral[valid], axis=0)),
     }
     if args.emit_paths:
         _write_paths(args.emit_paths, batch)
@@ -287,8 +290,7 @@ def _cmd_verify(args) -> tuple:
         samples = sample_measure(p, args.paths, method="radial_exact", seed=args.seed)
         rep = lsi_audit(p, bound, samples, seed=args.seed)
         return dumps(rep), bool(rep.passed)
-    x0 = _parse_x0(args.x0) if args.x0 else (0.0,) * p.dim
-    cfg = SdeConfig(dt=args.dt, horizon=args.t, n_paths=args.paths, seed=args.seed, x0=x0)
+    cfg = _sde_config(args, p.dim)
     if args.check == "martingale":
         # with one step the mid checkpoint would round to step 0
         checkpoints = (args.t,) if cfg.n_steps == 1 else (args.t / 2, args.t)
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--x0", default="0")
+    sp.add_argument("--x0", help="initial state, comma-separated (default: the origin)")
     sp.add_argument("--emit-paths", help="write per-path CSV here")
     add_out(sp)
 
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--x0")
+    sp.add_argument("--x0", help="initial state, comma-separated (default: the origin)")
     add_out(sp)
 
     sp = sub.add_parser("sample", help="draw points from the Gibbs measure (CSV)")

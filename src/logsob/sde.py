@@ -42,7 +42,11 @@ a :class:`Lane` with its own x0, variant and tangent flag.  Every block
 draws each step's increments once and steps every lane with them through
 the same step body, so each lane is bit-identical to a separate
 :func:`simulate` of it; :func:`simulate` is the one-lane call.  Each lane
-integrates in place on its own rows of its own :class:`PathBatch`.
+integrates in place on its own rows of its own :class:`PathBatch`.  Each
+state is observed once, in one place: a lane evaluates its fields at the
+start of each step, and a weighted lane observes its final state once
+more, for its weight.  Between steps a lane holds only its state (x, |x|^2,
+J, and on weighted lanes the running weight), never a step's temporaries.
 
 Tiles: the tangent update runs on tiles of :func:`tile_rows` rows (1 MB
 of J, ``TANGENT_TILE`` entries), so each block holds two tile-sized
@@ -207,6 +211,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     carries the lane's x0.  Stochastic weights and checkpoints are
     recorded on every weighted lane.
     """
+    if not lanes:
+        raise ParameterError("simulate_lanes needs at least one lane")
     for lane in lanes:
         if lane.variant not in ("plain", "perturbed"):
             raise ParameterError("variant must be 'plain' or 'perturbed'")
@@ -218,13 +224,13 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     if workers < 1:
         raise ParameterError("max_workers must be at least 1")
     n, d = cfg.n_paths, cfg.dim
-    checkpoint_steps = {}
+    step_of = {}
     for t in checkpoint_times:
         k = int(round(t / cfg.dt_eff))
         if not 0 < k <= cfg.n_steps:
             raise ParameterError(f"checkpoint time {t} rounds to step {k}, outside the "
                                  f"steps 1..{cfg.n_steps}")
-        checkpoint_steps[float(t)] = k
+        step_of.setdefault(k, set()).add(float(t))
 
     batches = tuple(PathBatch(
         cfg=lane_cfg,
@@ -233,13 +239,13 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
         girsanov_log_weight=np.zeros(n),
         psi_integral=np.zeros(n),
         divergent=np.zeros(n, dtype=bool),
-        checkpoint_log_weights={t: np.zeros(n) for t in checkpoint_steps},
+        checkpoint_log_weights={float(t): np.zeros(n) for t in checkpoint_times},
         log_weight_stochastic=np.zeros(n) if track_stochastic_weight else None,
     ) for lane, lane_cfg in zip(lanes, lane_cfgs))
     weighted = [lane.variant == "perturbed" and a.family != "identity" for lane in lanes]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         observed = list(pool.map(
-            lambda block: _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted),
+            lambda block: _run_block(p, a, cfg, block, step_of, batches, weighted),
             rng.block_ranges(n)))
     for batch, lane_observed in zip(batches, zip(*observed)):
         batch.observed_sup_log_grad = max(lane_observed)
@@ -250,7 +256,7 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     return batches
 
 
-def _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted) -> list:
+def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
     on rows lo:hi of its batch, which hold the initial state, and return
     per lane the sup of |grad a|/a they visited.  Each step's increments
@@ -263,7 +269,7 @@ def _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted) -> list:
     if any(batch.j_t is not None for batch in batches):
         rows = min(hi - lo, tile_rows(d))
         work = (np.empty((rows, d, d)), np.empty((rows, d, d)))
-    lanes = [_lane_steps(p, a, cfg, w, batch, lo, hi, checkpoint_steps, work)
+    lanes = [_lane_steps(p, a, cfg, w, batch, lo, hi, step_of, work)
              for batch, w in zip(batches, weighted)]
     for lane in lanes:
         next(lane)
@@ -274,35 +280,23 @@ def _run_block(p, a, cfg, block, checkpoint_steps, batches, weighted) -> list:
     return observed
 
 
-def _lane_steps(p, a, cfg, weighted, batch, lo, hi, checkpoint_steps, work):
+def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     """The paths of one lane on rows lo:hi of ``batch``, as a generator:
-    primed with ``next``, it takes each step's increments by ``send`` and
-    answers the last step with the sup of |grad a|/a the paths visited (0
-    on unweighted paths, whose zero weight rows stand)."""
-    n = hi - lo
+    primed with ``next``, it takes each step's increments by ``send``,
+    holds only its state between steps, and answers the last step with the
+    sup of |grad a|/a the paths visited (0 on unweighted paths)."""
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
 
     x = batch.x_t[lo:hi]
     t = np.einsum("ni,ni->n", x, x)
     j = None if batch.j_t is None else batch.j_t[lo:hi]
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(hi - lo, dtype=bool)
     fields = _step_fields(p, a, weighted)
-    drift, lg_norm2, psi_x = fields(x, t)
     observed_lg = 0.0
-    step_of = {}
-    # running trapezoid sum: half weight on the initial state, full weights
-    # after each step; the half weight of the current endpoint is removed
-    # whenever the integral is materialized
     if weighted:
-        observed_lg = float(np.max(lg_norm2)) ** 0.5
-        # the initial state meets the same finiteness rule as every step
-        alive &= np.isfinite(psi_x)
-        psi_last = np.where(alive, psi_x, 0.0)
-        psi_sum = 0.5 * psi_last
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
-        for tc, k in checkpoint_steps.items():
-            step_of.setdefault(k, []).append(tc)
+        psi_sum = psi_last = np.zeros(hi - lo)
     track_stoch = weighted and batch.log_weight_stochastic is not None
 
     def log_weight():
@@ -310,15 +304,33 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, checkpoint_steps, work):
         integral = dt * (psi_sum - 0.5 * psi_last)
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
+    def observe(k):
+        """(drift, |lg|^2) at the state after k steps.  A weighted lane also
+        takes the sup of |grad a|/a on its live paths, freezes the paths whose
+        psi is not finite, adds psi to the trapezoid sum (half weight at k = 0;
+        log_weight halves the last term) and records the checkpoints of step k."""
+        nonlocal alive, observed_lg, psi_sum, psi_last
+        drift, lg_norm2, psi_x = fields(x, t)
+        if weighted:
+            lg_sup = float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5
+            observed_lg = lg_sup if k == 0 else max(observed_lg, lg_sup)
+            alive = alive & np.isfinite(psi_x)
+            psi_x = np.where(alive, psi_x, 0.0)
+            psi_sum = 0.5 * psi_x if k == 0 else psi_sum + psi_x
+            psi_last = np.where(alive, psi_x, psi_last)
+            for tc in step_of.get(k, ()):
+                batch.checkpoint_log_weights[tc][lo:hi] = log_weight()[0]
+        return drift, lg_norm2
+
     for k in range(cfg.n_steps):
         xi = yield
+        drift, lg_norm2 = observe(k)
         if track_stoch:
-            lg = np.asarray(a.log_grad(x), dtype=float)
-            stoch_inc = (math.sqrt(2.0) * math.sqrt(dt) * np.einsum("ni,ni->n", lg, xi)
-                         - dt * lg_norm2)
+            lg_xi = np.einsum("ni,ni->n", np.asarray(a.log_grad(x), dtype=float), xi)
+            stoch_inc = math.sqrt(2.0) * math.sqrt(dt) * lg_xi - dt * lg_norm2
             batch.log_weight_stochastic[lo:hi] += np.where(alive, stoch_inc, 0.0)
+            del lg_xi, stoch_inc
         x_new = x + sqrt_2dt * xi - dt * drift
-
         # the squared norm is the whole divergence test: a NaN or an
         # infinity in any coordinate makes it fail the comparison
         with np.errstate(invalid="ignore", over="ignore"):
@@ -332,19 +344,11 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, checkpoint_steps, work):
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
         np.copyto(t, t_new, where=True if everyone else alive)
         # a lane waiting for the next step holds only its state
-        del x_new, t_new
-        drift, lg_norm2, psi_x = fields(x, t)
-        if weighted:
-            observed_lg = max(observed_lg, float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5)
-            alive = alive & np.isfinite(psi_x)
-            psi_sum = psi_sum + np.where(alive, psi_x, 0.0)
-            psi_last = np.where(alive, psi_x, psi_last)
-        for tc in step_of.get(k + 1, ()):
-            batch.checkpoint_log_weights[tc][lo:hi] = log_weight()[0]
-
-    batch.divergent[lo:hi] = ~alive
+        del xi, drift, lg_norm2, x_new, t_new
     if weighted:
+        observe(cfg.n_steps)
         batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = log_weight()
+    batch.divergent[lo:hi] = ~alive
     yield observed_lg
 
 

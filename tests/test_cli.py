@@ -414,6 +414,17 @@ def test_simulate_deterministic_given_seed(capsys):
     assert out1 == out2
 
 
+def test_simulate_without_x0_starts_at_the_origin_of_the_potential(capsys):
+    argv = ["simulate", "--potential", "family=subbotin alpha=4 dim=2",
+            "--perturbation", "perturbation=arctan eps=0.4",
+            "--t", "0.05", "--dt", "0.01", "--paths", "64", "--seed", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    code_origin, out_origin, _ = run(capsys, *argv, "--x0", "0,0")
+    assert code_origin == 0
+    assert out == out_origin
+
+
 def test_simulate_with_every_path_divergent_exits_one(capsys):
     # every path leaves the divergence radius on its second step
     code, out, err = run(capsys, "simulate", "--potential", "family=subbotin alpha=4 dim=2",

@@ -161,6 +161,35 @@ def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, 
             assert _same_bits(getattr(ref, field.name), getattr(batch, field.name)), field.name
 
 
+def test_empty_lane_tuple_is_rejected():
+    p = make_potential("gaussian", 1, rho=1.0)
+    cfg = SdeConfig(dt=0.1, horizon=0.2, n_paths=4, seed=0, x0=(0.0,))
+    with pytest.raises(ParameterError, match="at least one lane"):
+        simulate_lanes(p, identity_perturbation(), cfg, ())
+
+
+@pytest.mark.parametrize("variant, a, observations", [
+    ("plain", arctan_perturbation(0.4), 0),
+    ("perturbed", identity_perturbation(), 0),
+    ("perturbed", arctan_perturbation(0.4), 1),
+], ids=["plain", "identity", "weighted"])
+def test_each_state_is_observed_once(variant, a, observations):
+    """The drift is evaluated at the start of each step; only a weighted
+    lane observes the state after its last step, for its weight."""
+    quartic = make_potential("subbotin", 2, alpha=4.0)
+    calls = []
+
+    def gradient(x):
+        calls.append(len(x))
+        return quartic.gradient(x)
+
+    p = make_custom_potential(2, quartic.value, gradient, quartic.hessian)
+    cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=BLOCK_PATHS + 7, seed=5, x0=(0.4, -0.2))
+    simulate(p, a, cfg, variant=variant, max_workers=1, tangent=False)
+    per_block = cfg.n_steps + observations
+    assert calls == [BLOCK_PATHS] * per_block + [7] * per_block
+
+
 def test_worker_count_below_one_is_rejected():
     p = make_potential("gaussian", 1, rho=1.0)
     cfg = SdeConfig(dt=0.1, horizon=0.2, n_paths=4, seed=0, x0=(0.0,))

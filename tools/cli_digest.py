@@ -119,6 +119,10 @@ def _commands() -> list:
              ["simulate", "--potential", "family=gaussian rho=1 dim=1",
               "--perturbation", "perturbation=arctan eps=0.3", "--t", "0.1", "--dt", "0.01",
               "--paths", "1", "--seed", "3"]]
+    # without --x0 the paths start at the origin of the potential's dimension
+    cmds.append(["simulate", "--potential", "family=subbotin alpha=4 dim=2",
+                 "--perturbation", "perturbation=arctan eps=0.4", "--dt", "0.01", "--t", "0.1",
+                 *SDE])
     return cmds
 
 
