@@ -305,12 +305,15 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
     def observe(k):
-        """(drift, |lg|^2) at the state after k steps.  A weighted lane also
-        takes the sup of |grad a|/a on its live paths, freezes the paths whose
-        psi is not finite, adds psi to the trapezoid sum (half weight at k = 0;
-        log_weight halves the last term) and records the checkpoints of step k."""
+        """(drift, lg, |lg|^2, weight) at the state after k steps, lg as in
+        ``_step_fields``.  A weighted lane also takes the sup of |grad a|/a on
+        its live paths, freezes the paths whose psi is not finite, adds psi to
+        the trapezoid sum (half weight at k = 0; log_weight halves the last
+        term) and, at a checkpoint step or the last one, takes log_weight()
+        once as ``weight`` and records the checkpoints of step k from it."""
         nonlocal alive, observed_lg, psi_sum, psi_last
-        drift, lg_norm2, psi_x = fields(x, t)
+        weight = None
+        drift, lg, lg_norm2, psi_x = fields(x, t)
         if weighted:
             lg_sup = float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5
             observed_lg = lg_sup if k == 0 else max(observed_lg, lg_sup)
@@ -318,15 +321,19 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
             psi_x = np.where(alive, psi_x, 0.0)
             psi_sum = 0.5 * psi_x if k == 0 else psi_sum + psi_x
             psi_last = np.where(alive, psi_x, psi_last)
+            if k in step_of or k == cfg.n_steps:
+                weight = log_weight()
             for tc in step_of.get(k, ()):
-                batch.checkpoint_log_weights[tc][lo:hi] = log_weight()[0]
-        return drift, lg_norm2
+                batch.checkpoint_log_weights[tc][lo:hi] = weight[0]
+        return drift, lg, lg_norm2, weight
 
     for k in range(cfg.n_steps):
         xi = yield
-        drift, lg_norm2 = observe(k)
+        drift, lg, lg_norm2, _ = observe(k)
         if track_stoch:
-            lg_xi = np.einsum("ni,ni->n", np.asarray(a.log_grad(x), dtype=float), xi)
+            if lg is None:
+                lg = np.asarray(a.log_grad(x), dtype=float)
+            lg_xi = np.einsum("ni,ni->n", lg, xi)
             stoch_inc = math.sqrt(2.0) * math.sqrt(dt) * lg_xi - dt * lg_norm2
             batch.log_weight_stochastic[lo:hi] += np.where(alive, stoch_inc, 0.0)
             del lg_xi, stoch_inc
@@ -344,18 +351,18 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
         np.copyto(t, t_new, where=True if everyone else alive)
         # a lane waiting for the next step holds only its state
-        del xi, drift, lg_norm2, x_new, t_new
+        del xi, drift, lg, lg_norm2, x_new, t_new
     if weighted:
-        observe(cfg.n_steps)
-        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = log_weight()
+        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = observe(cfg.n_steps)[3]
     batch.divergent[lo:hi] = ~alive
     yield observed_lg
 
 
 def _step_fields(p, a, weighted):
-    """The per-step evaluator (x, t) -> (drift, |lg|^2, psi) at the states
-    x, whose squared norms t = |x|^2 the step has already computed, with
-    lg = grad a / a; |lg|^2 and psi are None on unweighted paths.
+    """The per-step evaluator (x, t) -> (drift, lg, |lg|^2, psi) at the
+    states x, whose squared norms t = |x|^2 the step has already computed,
+    with lg = grad a / a; lg, |lg|^2 and psi are None on unweighted paths,
+    and lg is None also where the closed forms never build it.
 
     A radial potential, with a radial perturbation on weighted paths,
     reads its closed forms in t, so nothing recomputes |x|^2: with
@@ -365,21 +372,21 @@ def _step_fields(p, a, weighted):
     if p.radial is not None and (not weighted or a.radial is not None):
         if not weighted:
             grad_coeff = p.radial.grad_coeff
-            return lambda x, t: (grad_coeff(t)[:, None] * x, None, None)
+            return lambda x, t: (grad_coeff(t)[:, None] * x, None, None, None)
 
         def closed_form(x, t):
             gc, lgc, lg_norm2, psi_x = psi_radial_parts(a, p, t)
-            return (gc + 2.0 * lgc)[:, None] * x, lg_norm2, psi_x
+            return (gc + 2.0 * lgc)[:, None] * x, None, lg_norm2, psi_x
 
         return closed_form
 
     def point(x, t):
         grad = np.asarray(p.gradient(x), dtype=float)
         if not weighted:
-            return grad, None, None
+            return grad, None, None, None
         lg = np.asarray(a.log_grad(x), dtype=float)
         lg_norm2 = np.einsum("ni,ni->n", lg, lg)
-        return grad + 2.0 * lg, lg_norm2, psi_from_parts(a, x, lg, lg_norm2, grad)
+        return grad + 2.0 * lg, lg, lg_norm2, psi_from_parts(a, x, lg, lg_norm2, grad)
 
     return point
 

@@ -290,41 +290,77 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     return radii[:, None] * dirs
 
 
+def _mala_fields(p: Potential):
+    """The evaluator x -> (V, grad V) on the (chains, d) states of MALA.
+
+    A potential with a radial profile reads its closed forms in one
+    t = |x|^2, the same sum as the point evaluators' own; every other
+    potential goes through its point evaluators."""
+    if p.radial is None:
+        return lambda x: (np.asarray(p.value(x), dtype=float),
+                          np.asarray(p.gradient(x), dtype=float))
+    value, grad_coeff = p.radial.value, p.radial.grad_coeff
+
+    def closed_form(x):
+        t = np.add.reduce(x**2, axis=-1)
+        return np.asarray(value(t), dtype=float), grad_coeff(t)[:, None] * x
+
+    return closed_form
+
+
 def _sample_mala(p: Potential, n: int, seed: int) -> np.ndarray:
     """Metropolis-adjusted Langevin targeting exp(-V).
 
     Proposal x' = x - tau grad V(x) + sqrt(2 tau) xi; the step tau adapts
     toward the target acceptance during burn-in and is frozen afterwards.
+    Each proposal costs one evaluation of V and grad V, which a radial
+    potential reads from one squared norm |x'|^2 (``_mala_fields``); the
+    chains keep their state, V and grad V in place.
+
+    Raises EstimationError when a chain accepted no proposal from the
+    middle of burn-in on: its samples would all repeat one point.
     """
     gen = rng.stream(seed, rng.TAG_MALA)
     d = p.dim
+    fields = _mala_fields(p)
     x = gen.standard_normal((MALA_CHAINS, d)) * 0.5
-    v = np.asarray(p.value(x), dtype=float)
-    g = np.asarray(p.gradient(x), dtype=float)
+    # copies: the chains overwrite them in place
+    v, g = (np.array(f, dtype=float) for f in fields(x))
     log_tau = math.log(0.1)
     per_chain = -(-n // MALA_CHAINS)  # ceil
     out = np.empty((per_chain * MALA_CHAINS, d))
     collected = 0
     total_steps = MALA_BURN_IN + per_chain * MALA_THINNING
+    moved = np.zeros(MALA_CHAINS, dtype=bool)
     for step in range(total_steps):
         tau = math.exp(log_tau)
         xi = gen.standard_normal((MALA_CHAINS, d))
-        prop = x - tau * g + math.sqrt(2.0 * tau) * xi
-        v_prop = np.asarray(p.value(prop), dtype=float)
-        g_prop = np.asarray(p.gradient(prop), dtype=float)
-        fwd = np.sum((prop - x + tau * g) ** 2, axis=1)
-        bwd = np.sum((x - prop + tau * g_prop) ** 2, axis=1)
+        tau_g = tau * g
+        prop = x - tau_g + math.sqrt(2.0 * tau) * xi
+        v_prop, g_prop = fields(prop)
+        # x - prop is -(prop - x) exactly, so one difference serves both ways
+        dx = prop - x
+        fwd = np.add.reduce((dx + tau_g) ** 2, axis=1)
+        bwd = np.add.reduce((tau * g_prop - dx) ** 2, axis=1)
         log_alpha = v - v_prop + (fwd - bwd) / (4.0 * tau)
         accept = np.log(gen.random(MALA_CHAINS)) < log_alpha
-        x = np.where(accept[:, None], prop, x)
-        v = np.where(accept, v_prop, v)
-        g = np.where(accept[:, None], g_prop, g)
+        np.copyto(x, prop, where=accept[:, None])
+        np.copyto(v, v_prop, where=accept)
+        np.copyto(g, g_prop, where=accept[:, None])
+        if step >= MALA_BURN_IN // 2:
+            moved |= accept
         if step < MALA_BURN_IN:
-            rate = float(np.mean(accept))
+            rate = np.count_nonzero(accept) / MALA_CHAINS
             log_tau += (rate - MALA_TARGET_ACCEPTANCE) / math.sqrt(1.0 + step)
         elif (step - MALA_BURN_IN + 1) % MALA_THINNING == 0:
             out[collected:collected + MALA_CHAINS] = x
             collected += MALA_CHAINS
+    stuck = MALA_CHAINS - np.count_nonzero(moved)
+    if stuck:
+        raise EstimationError(
+            f"{stuck} of {MALA_CHAINS} MALA chains accepted no proposal in the last "
+            f"{MALA_BURN_IN - MALA_BURN_IN // 2} burn-in steps or after them; their samples "
+            "would repeat one point each")
     return out[:n]
 
 

@@ -591,6 +591,16 @@ def test_sample_csv_matches_per_cell_rendering(capsys, method, sampler):
     assert out == "\n".join(lines) + "\n"
 
 
+def test_sample_mala_with_chains_that_never_move_exits_one(capsys):
+    code, out, err = run(capsys, "sample", "--potential", "family=subbotin alpha=8 dim=8",
+                         "-n", "640", "--method", "mala", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    manifest = json.loads(err.strip().splitlines()[-1])
+    assert manifest["error"].startswith(
+        "EstimationError: 6 of 64 MALA chains accepted no proposal")
+
+
 # --- usage errors ---------------------------------------------------------------------
 
 def test_unknown_flag_exits_two(capsys):

@@ -175,19 +175,33 @@ def test_empty_lane_tuple_is_rejected():
 ], ids=["plain", "identity", "weighted"])
 def test_each_state_is_observed_once(variant, a, observations):
     """The drift is evaluated at the start of each step; only a weighted
-    lane observes the state after its last step, for its weight."""
+    lane observes the state after its last step, for its weight.  The Ito
+    increment reuses the step's grad a / a, and a checkpoint at the horizon
+    shares the final weight's log a(X_T)."""
     quartic = make_potential("subbotin", 2, alpha=4.0)
-    calls = []
+    calls = {"gradient": [], "log_grad": [], "value": []}
 
-    def gradient(x):
-        calls.append(len(x))
-        return quartic.gradient(x)
+    def counted(name, f):
+        def wrapped(x):
+            calls[name].append(len(x))
+            return f(x)
+        return wrapped
 
-    p = make_custom_potential(2, quartic.value, gradient, quartic.hessian)
+    p = make_custom_potential(2, quartic.value, counted("gradient", quartic.gradient),
+                              quartic.hessian)
+    a = dataclasses.replace(a, log_grad=counted("log_grad", a.log_grad),
+                            value=counted("value", a.value))
     cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=BLOCK_PATHS + 7, seed=5, x0=(0.4, -0.2))
-    simulate(p, a, cfg, variant=variant, max_workers=1, tangent=False)
-    per_block = cfg.n_steps + observations
-    assert calls == [BLOCK_PATHS] * per_block + [7] * per_block
+    simulate(p, a, cfg, variant=variant, max_workers=1, tangent=False,
+             track_stochastic_weight=True, checkpoint_times=(cfg.horizon,))
+
+    def per_block(count):
+        return [BLOCK_PATHS] * count + [7] * count
+
+    assert calls["gradient"] == per_block(cfg.n_steps + observations)
+    assert calls["log_grad"] == per_block((cfg.n_steps + 1) * observations)
+    # log a at x0 and at X_T
+    assert calls["value"] == per_block(2 * observations)
 
 
 def test_worker_count_below_one_is_rejected():

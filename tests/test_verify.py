@@ -11,9 +11,14 @@ from logsob.perturbations import (
     identity_perturbation,
     make_custom_perturbation,
 )
-from logsob.potentials import make_potential
+from logsob import rng
+from logsob.potentials import make_custom_potential, make_potential
 from logsob.sde import SdeConfig, SmoothFunction
 from logsob.verify import (
+    MALA_BURN_IN,
+    MALA_CHAINS,
+    MALA_TARGET_ACCEPTANCE,
+    MALA_THINNING,
     builtin_test_family,
     entropy_ratio,
     lsi_audit,
@@ -326,6 +331,83 @@ def test_mala_matches_exact_sampler_moments():
         se_mala = float(np.std(chain_means, ddof=1) / math.sqrt(n_chains))
         se = math.sqrt(np.var(r_exact**k, ddof=1) / n + se_mala**2)
         assert abs(me - mm) <= 3 * se, (k, me, mm, se)
+
+
+def _reference_mala(p, n, seed):
+    """The MALA loop written plainly, with a fresh array for every state:
+    the sampler's in-place loop must reproduce it bit for bit."""
+    gen = rng.stream(seed, rng.TAG_MALA)
+    d = p.dim
+    x = gen.standard_normal((MALA_CHAINS, d)) * 0.5
+    v = np.asarray(p.value(x), dtype=float)
+    g = np.asarray(p.gradient(x), dtype=float)
+    log_tau = math.log(0.1)
+    per_chain = -(-n // MALA_CHAINS)
+    out = np.empty((per_chain * MALA_CHAINS, d))
+    collected = 0
+    for step in range(MALA_BURN_IN + per_chain * MALA_THINNING):
+        tau = math.exp(log_tau)
+        xi = gen.standard_normal((MALA_CHAINS, d))
+        prop = x - tau * g + math.sqrt(2.0 * tau) * xi
+        v_prop = np.asarray(p.value(prop), dtype=float)
+        g_prop = np.asarray(p.gradient(prop), dtype=float)
+        fwd = np.sum((prop - x + tau * g) ** 2, axis=1)
+        bwd = np.sum((x - prop + tau * g_prop) ** 2, axis=1)
+        log_alpha = v - v_prop + (fwd - bwd) / (4.0 * tau)
+        accept = np.log(gen.random(MALA_CHAINS)) < log_alpha
+        x = np.where(accept[:, None], prop, x)
+        v = np.where(accept, v_prop, v)
+        g = np.where(accept[:, None], g_prop, g)
+        if step < MALA_BURN_IN:
+            rate = float(np.mean(accept))
+            log_tau += (rate - MALA_TARGET_ACCEPTANCE) / math.sqrt(1.0 + step)
+        elif (step - MALA_BURN_IN + 1) % MALA_THINNING == 0:
+            out[collected:collected + MALA_CHAINS] = x
+            collected += MALA_CHAINS
+    return out[:n]
+
+
+def _anisotropic_quadratic():
+    return make_custom_potential(
+        2,
+        value=lambda x: 0.5 * (x[..., 0] ** 2 + 2 * x[..., 1] ** 2),
+        gradient=lambda x: np.stack([x[..., 0], 2 * x[..., 1]], axis=-1),
+        hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
+    )
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: make_potential("gaussian", 1, rho=1.0), 1),
+    (lambda: make_potential("gaussian", 3, rho=0.5), 100),
+    (lambda: make_potential("subbotin", 2, alpha=3.0), 3001),
+    (lambda: make_potential("subbotin", 3, alpha=3.0), 1),
+    (lambda: make_potential("subbotin", 8, alpha=3.0), 100),
+    (lambda: make_potential("subbotin", 2, alpha=4.0), 1),
+    (lambda: make_potential("subbotin", 3, alpha=4.0), 3001),
+    (lambda: make_potential("subbotin", 8, alpha=4.0), 65),
+    (lambda: make_potential("double_well", 1, beta=0.25), 100),
+    (lambda: make_potential("double_well", 2, beta=0.25), 1),
+    (lambda: make_potential("double_well", 16, beta=0.25), 3001),
+    (_anisotropic_quadratic, 100),
+], ids=["gaussian-d1", "gaussian-d3", "subbotin3-d2", "subbotin3-d3", "subbotin3-d8",
+        "subbotin4-d2", "subbotin4-d3", "subbotin4-d8", "double_well-d1", "double_well-d2",
+        "double_well-d16", "custom"])
+def test_mala_is_the_reference_loop_bit_for_bit(make, n):
+    p = make()
+    got = sample_measure(p, n, method="mala", seed=29)
+    want = _reference_mala(p, n, 29)
+    assert got.shape == want.shape == (n, p.dim)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, dim, n, stuck", [(8.0, 8, 640, 6), (60.0, 2, 64, 7)])
+def test_mala_chains_that_never_move_are_an_error(alpha, dim, n, stuck):
+    # these chains start where the gradient step overshoots so far that no
+    # proposal is ever accepted
+    p = make_potential("subbotin", dim, alpha=alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EstimationError, match=f"^{stuck} of 64 MALA chains accepted no "):
+            sample_measure(p, n, method="mala", seed=1)
 
 
 def test_sampler_rejects_non_normalizable():

@@ -123,6 +123,12 @@ def _commands() -> list:
     cmds.append(["simulate", "--potential", "family=subbotin alpha=4 dim=2",
                  "--perturbation", "perturbation=arctan eps=0.4", "--dt", "0.01", "--t", "0.1",
                  *SDE])
+    # MALA at the benchmark's shape, and a subbotin whose chains partly never
+    # move, which exits 1
+    cmds += [["sample", "--potential", "family=double_well beta=0.25 dim=2", "-n", "10000",
+              "--method", "mala", "--seed", "5"],
+             ["sample", "--potential", "family=subbotin alpha=8 dim=8", "-n", "640",
+              "--method", "mala", "--seed", "1"]]
     return cmds
 
 
