@@ -300,17 +300,18 @@ def test_radial_exact_double_well_symmetric_bimodal():
     assert abs(q[0] + q[1]) < 0.02
 
 
-def test_radial_exact_requires_radial_potential():
-    from logsob.potentials import make_custom_potential
-
-    p = make_custom_potential(
+def _anisotropic_quadratic():
+    return make_custom_potential(
         2,
         value=lambda x: 0.5 * (x[..., 0] ** 2 + 2 * x[..., 1] ** 2),
         gradient=lambda x: np.stack([x[..., 0], 2 * x[..., 1]], axis=-1),
         hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
     )
+
+
+def test_radial_exact_requires_radial_potential():
     with pytest.raises(PreconditionError):
-        sample_measure(p, 100, method="radial_exact", seed=0)
+        sample_measure(_anisotropic_quadratic(), 100, method="radial_exact", seed=0)
 
 
 def test_mala_matches_exact_sampler_moments():
@@ -365,15 +366,6 @@ def _reference_mala(p, n, seed):
             out[collected:collected + MALA_CHAINS] = x
             collected += MALA_CHAINS
     return out[:n]
-
-
-def _anisotropic_quadratic():
-    return make_custom_potential(
-        2,
-        value=lambda x: 0.5 * (x[..., 0] ** 2 + 2 * x[..., 1] ** 2),
-        gradient=lambda x: np.stack([x[..., 0], 2 * x[..., 1]], axis=-1),
-        hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
-    )
 
 
 @pytest.mark.parametrize("make, n", [
