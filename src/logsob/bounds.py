@@ -10,11 +10,12 @@ Four routes to a constant c with Ent(f^2) <= c * Dirichlet(f):
     holley_stroock:        ||a||^4 ||1/a||^4 * 2 / rho_a (bounded tilt of a
                            uniformly convex V_a)
 
-Every report carries named precondition verdicts and a certification flag:
-``certified`` is true only when the curvature value itself is certified
-(closed form or polynomial certificate) and all norms are exact.  Reports
-are never silently dropped; infeasible inputs yield valid=False with the
-failing precondition named and constant = +inf.
+Every report carries named precondition verdicts, and one rule reads
+them: a report is ``valid`` when every verdict holds, ``certified`` when
+it is valid and no verdict is heuristic (each curvature value comes from a
+closed form or a polynomial certificate, and each norm is exact), and its
+constant is +inf unless it is valid.  Reports are never silently dropped;
+infeasible inputs yield valid=False with the failing precondition named.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .curvature import (  # certify_* stay importable here for perfbench/tracing
     certify_quadric,
     kappa,
     kappa_tilde,
+    quartic_beta,
 )
 from .errors import EvaluationError, ParameterError
 from .perturbations import Perturbation, arctan_perturbation, check_G, tilted_hess_split
@@ -68,19 +70,36 @@ def _inputs(p: Potential, a: Optional[Perturbation]) -> dict:
     return out
 
 
-def _finalize(method, valid, constant, preconds, inputs, certified, notes=""):
-    if not valid:
-        constant = math.inf
-        certified = False
+def _finalize(method, preconds, inputs, constant, notes=""):
+    """The report whose validity, certification and constant the verdicts decide."""
+    valid = all(v.ok for v in preconds)
     return BoundReport(
         method=method,
-        constant=float(constant),
-        valid=bool(valid),
+        constant=float(constant) if valid else math.inf,
+        valid=valid,
         preconditions=tuple(preconds),
         inputs=inputs,
-        certified=bool(certified),
+        certified=valid and not any(v.heuristic for v in preconds),
         notes=notes,
     )
+
+
+def _not_evaluated(name, reason=""):
+    """The verdict of a hypothesis that a failed gate left unevaluated."""
+    return Verdict(name, False, True, "not evaluated" + (f": {reason}" if reason else ""))
+
+
+def _curvature_verdict(preconds, kind, curvature) -> float:
+    """Append the verdict "<kind>_a > 0" to the gate verdicts ``preconds``
+    and return the curvature value; ``curvature()`` runs only when every
+    gate holds, and the value is -inf when it does not."""
+    if not all(v.ok for v in preconds):
+        preconds.append(_not_evaluated(f"{kind}_a > 0"))
+        return -math.inf
+    krep = curvature()
+    preconds.append(Verdict(f"{kind}_a > 0", krep.value > 0.0, not krep.certified,
+                            f"{kind} = {krep.value:.12g} ({krep.method})"))
+    return krep.value
 
 
 def fk_bound(p: Potential, a: Perturbation) -> BoundReport:
@@ -96,17 +115,10 @@ def fk_bound(p: Potential, a: Perturbation) -> BoundReport:
                 math.isfinite(a.sup_a.value) and math.isfinite(a.sup_log_grad.value),
                 not (a.sup_a.exact and a.sup_log_grad.exact)),
     ]
-    if not all(v.ok for v in preconds):
-        # the curvature infimum is not evaluated for inadmissible perturbations
-        preconds.append(Verdict("kappa_a > 0", False, True, "not evaluated"))
-        return _finalize("feynman_kac", False, math.inf, preconds, _inputs(p, a), False)
-    krep = kappa(p, a)
-    preconds.append(Verdict("kappa_a > 0", krep.value > 0.0, not krep.certified,
-                            f"kappa = {krep.value:.12g} ({krep.method})"))
-    valid = all(v.ok for v in preconds)
-    constant = 4.0 * a.sup_a.value * a.sup_a_inv.value / krep.value if valid else math.inf
-    certified = valid and krep.certified and a.sup_a.exact and a.sup_a_inv.exact
-    return _finalize("feynman_kac", valid, constant, preconds, _inputs(p, a), certified)
+    # the curvature infimum is not evaluated for inadmissible perturbations
+    k = _curvature_verdict(preconds, "kappa", lambda: kappa(p, a))
+    return _finalize("feynman_kac", preconds, _inputs(p, a),
+                     4.0 * a.sup_a.value * a.sup_a_inv.value / k if k > 0.0 else math.inf)
 
 
 def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
@@ -116,29 +128,18 @@ def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
     functions; it is not a full logarithmic Sobolev constant.
     """
     g = check_G(a, dim=p.dim)
-    nondec, nondec_detail, nondec_heur = _a_nondecreasing(a)
     preconds = [
         Verdict("d=1 restriction", p.dim == 1, False, f"d = {p.dim}"),
-        Verdict("a non-decreasing", nondec, nondec_heur, nondec_detail),
+        _a_nondecreasing(a),
         Verdict("(G)", g.satisfied, g.heuristic, g.detail),
     ]
-    if not all(v.ok for v in preconds):
-        preconds.append(Verdict("kappa_tilde_a > 0", False, True, "not evaluated"))
-        return _finalize("feynman_kac_monotone", False, math.inf, preconds, _inputs(p, a),
-                         False, notes="scope: non-decreasing positive test functions only")
-    krep = kappa_tilde(p, a)
-    preconds.append(Verdict("kappa_tilde_a > 0", krep.value > 0.0, not krep.certified,
-                            f"kappa_tilde = {krep.value:.12g} ({krep.method})"))
-    valid = all(v.ok for v in preconds)
-    constant = 2.0 / krep.value if valid else math.inf
-    certified = valid and krep.certified
-    return _finalize(
-        "feynman_kac_monotone", valid, constant, preconds, _inputs(p, a), certified,
-        notes="scope: non-decreasing positive test functions only",
-    )
+    k = _curvature_verdict(preconds, "kappa_tilde", lambda: kappa_tilde(p, a))
+    return _finalize("feynman_kac_monotone", preconds, _inputs(p, a),
+                     2.0 / k if k > 0.0 else math.inf,
+                     notes="scope: non-decreasing positive test functions only")
 
 
-def _a_nondecreasing(a: Perturbation, span: float = 0.0):
+def _a_nondecreasing(a: Perturbation, span: float = 0.0) -> Verdict:
     """Monotonicity verdict for the perturbation, read by the monotone
     bound and by ``verify.monotone_comparison``.
 
@@ -149,28 +150,25 @@ def _a_nondecreasing(a: Perturbation, span: float = 0.0):
     over [-r, r], r = max(30, span), so a comparison whose paths start
     far out passes its probe span.
     """
+    name = "a non-decreasing"
     if a.family == "identity":
-        return True, "constant", False
+        return Verdict(name, True, False, "constant")
     if a.radial is not None:
-        return True, "non-decreasing in |x| (radial family)", True
+        return Verdict(name, True, True, "non-decreasing in |x| (radial family)")
     reach = max(30.0, span)
     grid = np.linspace(-reach, reach, 2 * math.ceil(reach * 50.0 / 3.0) + 1)[:, None]
     vals = np.asarray(a.value(grid), dtype=float)
     ok = bool(np.all(np.diff(vals) >= -1e-12))
-    return ok, f"grid check on [-{reach:g}, {reach:g}]", True
+    return Verdict(name, ok, True, f"grid check on [-{reach:g}, {reach:g}]")
 
 
 def bakry_emery_bound(p: Potential) -> BoundReport:
     """Uniform convexity bound 2 / rho with hess V >= rho I."""
-    rho = p.hessian_lower_bound
-    exact = p.hessian_lower_bound_exact
-    preconds = [
-        Verdict("hess V >= rho I with rho > 0", rho > 0.0, not exact,
-                f"rho = {rho:.12g}" + ("" if exact else " (grid estimate)")),
-    ]
-    valid = rho > 0.0
-    constant = 2.0 / rho if valid else math.inf
-    return _finalize("bakry_emery", valid, constant, preconds, _inputs(p, None), valid and exact)
+    rho, exact = p.hessian_lower_bound, p.hessian_lower_bound_exact
+    verdict = Verdict("hess V >= rho I with rho > 0", rho > 0.0, not exact,
+                      f"rho = {rho:.12g}" + ("" if exact else " (grid estimate)"))
+    return _finalize("bakry_emery", [verdict], _inputs(p, None),
+                     2.0 / rho if rho > 0.0 else math.inf)
 
 
 _HS_GRID_T = np.concatenate([[0.0], np.logspace(-8, 6, 8192)])
@@ -184,31 +182,26 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
     c <= (sup a * sup 1/a)^4 * 2 / rho_a.
     """
     norm_ok = math.isfinite(a.sup_a.value) and math.isfinite(a.sup_a_inv.value)
-    preconds = [
-        Verdict("a and 1/a bounded", norm_ok, not (a.sup_a.exact and a.sup_a_inv.exact)),
-    ]
-    inputs = _inputs(p, a)
+    preconds = [Verdict("a and 1/a bounded", norm_ok, not (a.sup_a.exact and a.sup_a_inv.exact))]
+    name, rho_a = "rho_-(hess V_a) > 0", -math.inf
     if not norm_ok:
-        preconds.append(Verdict("rho_-(hess V_a) > 0", False, True, "not evaluated"))
-        return _finalize("holley_stroock", False, math.inf, preconds, inputs, False)
-
-    if a.family == "identity":
+        preconds.append(_not_evaluated(name))
+    elif a.family == "identity":
         rho_a, heur = p.hessian_lower_bound, not p.hessian_lower_bound_exact
-        detail = f"rho_a = {rho_a:.12g} ({'grid estimate' if heur else 'exact'}, V_a = V)"
+        preconds.append(Verdict(name, rho_a > 0.0, heur, f"rho_a = {rho_a:.12g} "
+                                f"({'grid estimate' if heur else 'exact'}, V_a = V)"))
     elif p.radial is not None and a.radial is not None:
         a_tot, b_tot = tilted_hess_split(p, a, _HS_GRID_T)
         radial_eig = a_tot * _HS_GRID_T + b_tot
         rho_a = float(np.min(radial_eig)) if p.dim == 1 else float(min(np.min(radial_eig), np.min(b_tot)))
-        heur = True
-        detail = f"rho_a = {rho_a:.12g} (radial grid, {_HS_GRID_T.size} points)"
+        preconds.append(Verdict(name, rho_a > 0.0, True,
+                                f"rho_a = {rho_a:.12g} (radial grid, {_HS_GRID_T.size} points)"))
     else:
-        raise ParameterError("holley_stroock_bound requires a radial potential/perturbation pair "
-                             "or the identity perturbation")
-    preconds.append(Verdict("rho_-(hess V_a) > 0", rho_a > 0.0, heur, detail))
-    valid = all(v.ok for v in preconds)
-    constant = (a.sup_a.value * a.sup_a_inv.value) ** 4 * 2.0 / rho_a if valid else math.inf
-    certified = valid and not heur and a.sup_a.exact and a.sup_a_inv.exact
-    return _finalize("holley_stroock", valid, constant, preconds, inputs, certified)
+        preconds.append(_not_evaluated(name, "needs a radial potential/perturbation pair "
+                                             "or the identity perturbation"))
+    constant = ((a.sup_a.value * a.sup_a_inv.value) ** 4 * 2.0 / rho_a if rho_a > 0.0
+                else math.inf)
+    return _finalize("holley_stroock", preconds, _inputs(p, a), constant)
 
 
 # --- epsilon optimization and sweeps -----------------------------------------
@@ -229,33 +222,22 @@ def optimize_epsilon(family: str, d: int, beta: Optional[float] = None):
     """
     if d < 1:
         raise ParameterError("d must be a positive integer")
+    b = quartic_beta(family, beta)
     if family == "quadric":
         eps_star = 8.0 / (3.0 * SQ3 * (d + 1))
         if not eps_star < 4.0 / math.pi:
             raise EvaluationError("eps objective is not minimized at the right endpoint",
                                   point=None)
-        p = make_potential("subbotin", d, alpha=4.0)
-    elif family == "double_well":
-        if beta is None:
-            raise ParameterError("double_well requires beta")
-        if not 0 <= beta < 0.5:
-            raise ParameterError("beta must lie in [0, 1/2)")
-        eps_star = 2.0 / (d + 1)
-        p = make_potential("double_well", d, beta=beta) if beta > 0 else make_potential("subbotin", d, alpha=4.0)
     else:
-        raise ParameterError("family must be quadric or double_well")
+        eps_star = 2.0 / (d + 1)
+    p = make_potential("double_well", d, beta=b) if b > 0 else make_potential("subbotin", d, alpha=4.0)
     return eps_star, fk_bound(p, arctan_perturbation(eps_star))
 
 
 def envelope_constant(family: str, beta: Optional[float] = None) -> float:
     """Dimension-free envelope: 3 e sqrt3 (quadric), 4 e / (1 - 2 beta) (double well)."""
-    if family == "quadric":
-        return 3.0 * math.e * SQ3
-    if family == "double_well":
-        if beta is None or not 0 <= beta < 0.5:
-            raise ParameterError("double_well envelope requires beta in [0, 1/2)")
-        return 4.0 * math.e / (1.0 - 2.0 * beta)
-    raise ParameterError("family must be quadric or double_well")
+    b = quartic_beta(family, beta)
+    return 3.0 * math.e * SQ3 if family == "quadric" else 4.0 * math.e / (1.0 - 2.0 * b)
 
 
 @dataclass(frozen=True)
@@ -278,9 +260,8 @@ def dimension_sweep(family: str, dims, beta: Optional[float] = None):
 
     def row(d):
         eps, rep = optimize_epsilon(family, d, beta)
-        kappa_val = eps * d if family == "quadric" else eps * d - 2.0 * beta
-        return SweepRow(d=d, eps=eps, kappa=kappa_val, bound=rep.constant,
-                        envelope=env, valid=rep.valid, certified=rep.certified)
+        return SweepRow(d=d, eps=eps, kappa=eps * d - 2.0 * quartic_beta(family, beta),
+                        bound=rep.constant, envelope=env, valid=rep.valid, certified=rep.certified)
 
     rows = [row(d) for d in dims]
     for r in rows:

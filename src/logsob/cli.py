@@ -35,7 +35,7 @@ from .bounds import (
     holley_stroock_bound,
     optimize_epsilon,
 )
-from .curvature import certify_double_well, certify_quadric
+from .curvature import certify_double_well, certify_quadric, quartic_beta
 from .errors import EstimationError, EvaluationError, ParameterError, PreconditionError
 from .perturbations import parse_perturbation
 from .potentials import parse_potential
@@ -183,14 +183,9 @@ def _check_beta(args) -> None:
 
 def _cmd_certify(args) -> tuple:
     _check_beta(args)
-    if args.family == "quadric":
-        cert = certify_quadric(args.eps, args.dim)
-    elif args.family == "double_well":
-        if args.beta is None:
-            raise ParameterError("double_well certification requires --beta")
-        cert = certify_double_well(args.eps, args.dim, args.beta)
-    else:
-        raise ParameterError("family must be quadric or double_well")
+    beta = quartic_beta(args.family, args.beta)
+    cert = (certify_quadric(args.eps, args.dim) if args.family == "quadric"
+            else certify_double_well(args.eps, args.dim, beta))
     payload = {
         "family": cert.family,
         "eps": cert.eps,

@@ -118,6 +118,10 @@ def _check_radial_reduction(p, a, weight):
         x = np.zeros(p.dim)
         x[0] = radius
         point = _point_objective(p, a, x, weight)
+        if not (math.isfinite(c) or math.isfinite(point)):
+            raise EvaluationError(
+                "curvature objective is not finite at radius %g: closed forms give %.12g, "
+                "point evaluators %.12g" % (radius, c, point), point=x)
         if not abs(c - point) <= 1e-9 * max(1.0, abs(point)):
             raise EvaluationError(
                 "radial reduction invalid: closed forms give %.12g, point evaluators %.12g "
@@ -321,6 +325,22 @@ def _nonneg_on_halfline(coeffs) -> bool:
     return odd == 0
 
 
+def quartic_beta(family: str, beta: Optional[float]) -> float:
+    """The beta of a quartic family: the quadric takes none and has 0, the
+    double well needs one in [0, 1/2)."""
+    if family == "quadric":
+        if beta is not None:
+            raise ParameterError("quadric takes no beta")
+        return 0.0
+    if family == "double_well":
+        if beta is None:
+            raise ParameterError("double_well requires beta")
+        if not 0 <= beta < 0.5:
+            raise ParameterError("beta must lie in [0, 1/2)")
+        return float(beta)
+    raise ParameterError("family must be quadric or double_well")
+
+
 def _certify(family, eps, d, beta):
     """The certificate for g with the given parameters; the quadric is the
     double well at beta = 0, whose coefficients keep the quadric's bits."""
@@ -328,9 +348,7 @@ def _certify(family, eps, d, beta):
         raise ParameterError("eps must be positive and finite")
     if d < 1:
         raise ParameterError("d must be a positive integer")
-    b = 0.0 if beta is None else float(beta)
-    if not 0 <= b < 0.5:
-        raise ParameterError("beta must lie in [0, 1/2)")
+    b = quartic_beta(family, beta)
     eps = float(eps)
     coeffs = (2.0, -eps * (d + 1), 4.0 + eps * b, -eps * (d + 5), 2.0 - eps * eps + eps * b)
     nonneg = _nonneg_on_halfline(coeffs)

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .potentials import Potential, _sqnorm
+from .potentials import Potential, _sqnorm, spec_fields
 
 Array = np.ndarray
 
@@ -349,12 +349,7 @@ def check_BM(a: Perturbation, p: Potential) -> ConditionReport:
 
 def parse_perturbation(text: str) -> Perturbation:
     """Parse a spec like ``perturbation=arctan eps=0.35``."""
-    fields = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ParameterError("malformed perturbation token %r" % token)
-        key, _, val = token.partition("=")
-        fields[key] = val
+    fields = spec_fields(text, "perturbation")
     family = fields.pop("perturbation", None)
     if family is None:
         raise ParameterError("perturbation spec must contain perturbation=...")

@@ -275,14 +275,23 @@ def hessian_eigenvalues(p: Potential, x: Array) -> Array:
 # --- text config parsing -------------------------------------------------
 
 
-def parse_potential(text: str) -> Potential:
-    """Parse a spec like ``family=subbotin alpha=4 dim=8``."""
+def spec_fields(text: str, kind: str) -> dict:
+    """The key=value tokens of a ``kind`` spec ("potential" or
+    "perturbation") as a dict; each key may appear once."""
     fields = {}
     for token in text.split():
         if "=" not in token:
-            raise ParameterError("malformed potential token %r" % token)
+            raise ParameterError("malformed %s token %r" % (kind, token))
         key, _, val = token.partition("=")
+        if key in fields:
+            raise ParameterError("%s spec repeats %s=" % (kind, key))
         fields[key] = val
+    return fields
+
+
+def parse_potential(text: str) -> Potential:
+    """Parse a spec like ``family=subbotin alpha=4 dim=8``."""
+    fields = spec_fields(text, "potential")
     family = fields.pop("family", None)
     if family is None:
         raise ParameterError("potential spec must contain family=...")

@@ -193,7 +193,7 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
     # the verdict the monotone bound reads: a symmetric radial profile is
     # non-decreasing in |x|, flagged rather than rejected (the comparison
     # is still checked, not assumed)
-    if not _a_nondecreasing(a, span)[0]:
+    if not _a_nondecreasing(a, span).ok:
         raise PreconditionError("a non-decreasing", "perturbation decreases on the probe grid")
     a_note = ""
     if a.family != "identity" and a.radial is not None:

@@ -12,13 +12,14 @@ from logsob.bounds import (
     holley_stroock_bound,
     optimize_epsilon,
 )
+from logsob.curvature import certify_double_well
 from logsob.errors import ParameterError
 from logsob.perturbations import (
     arctan_perturbation,
     identity_perturbation,
     make_custom_perturbation,
 )
-from logsob.potentials import make_custom_potential, make_potential
+from logsob.potentials import Radial, make_custom_potential, make_potential
 
 SQ3 = math.sqrt(3.0)
 
@@ -144,6 +145,43 @@ def test_hs_identity_on_custom_potential_reads_the_hessian_floor():
     assert "grid estimate" in rep.preconditions[-1].detail
 
 
+def _cos_potential(d):
+    # |x|^2/2 + 0.2 sum cos x_i: uniformly convex (rho = 0.8), not radial
+    return make_custom_potential(
+        d,
+        value=lambda x: np.sum(x**2 / 2 + 0.2 * np.cos(x), axis=-1),
+        gradient=lambda x: x - 0.2 * np.sin(x),
+        hessian=lambda x: (1 - 0.2 * np.cos(x))[..., :, None] * np.eye(d),
+    )
+
+
+def _tanh_perturbation(d):
+    # a = 2 + tanh(x_1): bounded above and below, not radial
+    def gradient(x):
+        g = np.zeros(np.shape(x))
+        g[..., 0] = 1 - np.tanh(x[..., 0]) ** 2
+        return g
+
+    return make_custom_perturbation(
+        value=lambda x: 2 + np.tanh(x[..., 0]),
+        gradient=gradient,
+        laplacian=lambda x: -2 * np.tanh(x[..., 0]) * (1 - np.tanh(x[..., 0]) ** 2),
+        dim=d,
+    )
+
+
+@pytest.mark.parametrize("pair", ["custom potential", "custom perturbation"])
+def test_hs_non_radial_pair_is_an_invalid_report(pair):
+    p, a = ((_cos_potential(2), arctan_perturbation(0.3)) if pair == "custom potential"
+            else (make_potential("gaussian", 2, rho=1.0), _tanh_perturbation(2)))
+    rep = holley_stroock_bound(p, a)
+    assert not rep.valid and not rep.certified and rep.constant == math.inf
+    assert rep.failed() == ["rho_-(hess V_a) > 0"]
+    verdict = rep.preconditions[-1]
+    assert verdict.heuristic
+    assert verdict.detail.startswith("not evaluated: needs a radial potential/perturbation pair")
+
+
 def test_hs_unbounded_perturbation_invalid():
     a = make_custom_perturbation(
         value=lambda x: np.exp(np.sum(x**2, axis=-1)),
@@ -201,6 +239,18 @@ def test_optimize_epsilon_rejects_bad_beta():
         optimize_epsilon("double_well", 3, None)
 
 
+# the beta rule of the command line holds in the library too
+@pytest.mark.parametrize("call, message", [
+    (lambda: optimize_epsilon("quadric", 3, 0.3), "quadric takes no beta"),
+    (lambda: envelope_constant("quadric", 0.3), "quadric takes no beta"),
+    (lambda: dimension_sweep("quadric", [2], beta=0.3), "quadric takes no beta"),
+    (lambda: certify_double_well(0.5, 2, None), "double_well requires beta"),
+], ids=["optimize_epsilon", "envelope_constant", "dimension_sweep", "certify_double_well"])
+def test_quartic_beta_rule_holds_in_the_library(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_quadric_rows_below_envelope():
@@ -247,3 +297,65 @@ def test_uncertified_reports_list_a_heuristic_precondition():
 def test_invalid_reports_have_infinite_constant():
     rep = bakry_emery_bound(make_potential("double_well", 2, beta=0.3))
     assert not rep.valid and rep.constant == math.inf
+
+
+# --- one report rule --------------------------------------------------------------
+
+
+def _parent_certified(rep, p, a):
+    """Each bound's own certified expression before one rule decided them
+    all.  The last verdict is the curvature one, heuristic exactly when its
+    value (kappa, kappa_tilde, rho_a) is not certified."""
+    curvature_certified = not rep.preconditions[-1].heuristic
+    if rep.method == "feynman_kac":
+        return rep.valid and curvature_certified and a.sup_a.exact and a.sup_a_inv.exact
+    if rep.method == "feynman_kac_monotone":
+        return rep.valid and curvature_certified
+    if rep.method == "bakry_emery":
+        return rep.valid and p.hessian_lower_bound_exact
+    assert rep.method == "holley_stroock"
+    return rep.valid and curvature_certified and a.sup_a.exact and a.sup_a_inv.exact
+
+
+def _report_grid():
+    """(p, a, report) of every bound over built-in and custom inputs; the
+    custom ones, whose curvature takes the multistart search, in d = 1."""
+    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    radial = [identity_perturbation(), arctan_perturbation(0.3), arctan_perturbation(5.0)]
+    custom = [_tanh_perturbation(1), make_custom_perturbation(
+        value=lambda x: np.exp(np.sum(x**2, axis=-1)),
+        gradient=lambda x: 2 * x * np.exp(np.sum(x**2, axis=-1))[..., None],
+        laplacian=lambda x: (2 + 4 * np.sum(x**2, axis=-1)) * np.exp(np.sum(x**2, axis=-1)),
+        dim=1)]
+    pairs = [(make_potential(family, d, **{name: value}), radial)
+             for d in (1, 2, 8)
+             for family, name, value in (("gaussian", "rho", 1.0), ("gaussian", "rho", 0.5),
+                                         ("subbotin", "alpha", 3.0), ("subbotin", "alpha", 4.0),
+                                         ("double_well", "beta", 0.2))]
+    # the custom perturbations on a built-in, a radial quadratic that states
+    # its closed forms, and a non-radial potential
+    pairs.append((make_potential("gaussian", 1, rho=1.0), custom))
+    quadratic = make_custom_potential(
+        1, lambda x: 0.5 * np.sum(x**2, axis=-1), lambda x: np.asarray(x, dtype=float),
+        lambda x: np.ones(np.shape(x) + (1,)),
+        radial=Radial(lambda t: 0.5 * np.asarray(t, dtype=float), one,
+                      lambda t: (zero(t), one(t)), one))
+    pairs += [(quadratic, radial + custom), (_cos_potential(1), radial + custom)]
+    for p, perts in pairs:
+        yield p, None, bakry_emery_bound(p)
+        for a in perts:
+            for bound in (fk_bound, fk_mono_bound, holley_stroock_bound):
+                yield p, a, bound(p, a)
+
+
+def test_one_rule_matches_each_bounds_own_certified_expression():
+    n = n_valid = n_certified = 0
+    with np.errstate(all="ignore"):
+        for p, a, rep in _report_grid():
+            assert rep.valid == all(v.ok for v in rep.preconditions)
+            assert rep.certified == _parent_certified(rep, p, a), (rep.method, rep.inputs)
+            assert (rep.constant == math.inf) == (not rep.valid), (rep.method, rep.inputs)
+            n, n_valid, n_certified = n + 1, n_valid + rep.valid, n_certified + rep.certified
+    # the grid reaches every outcome: invalid, valid but heuristic, certified
+    assert n > n_valid > n_certified > 0

@@ -17,6 +17,7 @@ from logsob.curvature import (
     certify_quadric,
     kappa,
     kappa_tilde,
+    quartic_beta,
 )
 from logsob.errors import EvaluationError, ParameterError
 from logsob.perturbations import arctan_perturbation, identity_perturbation, psi_radial
@@ -260,6 +261,19 @@ def test_certify_double_well_requires_eps_above_positivity_threshold():
     assert cert.kappa_if_valid < 0
 
 
+def test_quartic_beta():
+    assert quartic_beta("quadric", None) == 0.0
+    assert quartic_beta("double_well", 0.25) == 0.25
+    assert quartic_beta("double_well", 0) == 0.0
+    for family, beta, message in (("quadric", 0.0, "quadric takes no beta"),
+                                  ("double_well", None, "double_well requires beta"),
+                                  ("double_well", 0.5, r"beta must lie in \[0, 1/2\)"),
+                                  ("double_well", -0.1, r"beta must lie in \[0, 1/2\)"),
+                                  ("subbotin", None, "family must be quadric or double_well")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            quartic_beta(family, beta)
+
+
 def test_certify_double_well_param_errors():
     with pytest.raises(ParameterError):
         certify_double_well(0.5, 2, 0.6)
@@ -430,6 +444,14 @@ def test_wrong_closed_form_is_caught():
     wrong = dataclasses.replace(p.radial, rho_minus=lambda t: 3.0 * np.asarray(t) - 0.2)
     with pytest.raises(EvaluationError, match="radial reduction invalid"):
         kappa_tilde(dataclasses.replace(p, radial=wrong), arctan_perturbation(0.5))
+
+
+def test_overflowing_objective_is_not_reported_as_a_wrong_closed_form():
+    # 2 rho overflows on both sides of the check: no closed form is wrong
+    p = make_potential("gaussian", 2, rho=1e308)
+    with pytest.raises(EvaluationError, match="^curvature objective is not finite at radius 0.5"):
+        with np.errstate(over="ignore"):
+            kappa(p, arctan_perturbation(0.3))
 
 
 def test_unbounded_below_detection():

@@ -280,3 +280,12 @@ def test_arctan_parse_render_round_trip_property(eps):
 def test_parse_errors(text):
     with pytest.raises(ParameterError):
         parse_perturbation(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("perturbation=arctan eps=0.3 eps=0.4", "eps"),
+    ("perturbation=arctan perturbation=identity eps=0.3", "perturbation"),
+])
+def test_parse_rejects_a_repeated_key(text, key):
+    with pytest.raises(ParameterError, match=f"^perturbation spec repeats {key}=$"):
+        parse_perturbation(text)

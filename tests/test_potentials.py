@@ -310,3 +310,18 @@ def test_parse_render_round_trip_property(family_param, dim):
 def test_parse_errors(text):
     with pytest.raises(ParameterError):
         parse_potential(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("family=gaussian rho=1 dim=2 dim=3", "dim"),
+    ("family=gaussian rho=1 rho=2 dim=2", "rho"),
+    ("family=gaussian family=subbotin alpha=4 dim=2", "family"),
+])
+def test_parse_rejects_a_repeated_key(text, key):
+    with pytest.raises(ParameterError, match=f"^potential spec repeats {key}=$"):
+        parse_potential(text)
+
+
+def test_parse_keeps_the_malformed_number_message():
+    with pytest.raises(ParameterError, match="malformed number in potential token 'rho=abc'"):
+        parse_potential("family=gaussian rho=abc dim=1")

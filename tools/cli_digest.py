@@ -129,6 +129,16 @@ def _commands() -> list:
               "--method", "mala", "--seed", "5"],
              ["sample", "--potential", "family=subbotin alpha=8 dim=8", "-n", "640",
               "--method", "mala", "--seed", "1"]]
+    # a spec key given twice, a double well without beta, and an objective
+    # that overflows at the radii of the closed-form check: all exit 1
+    cmds += [["bound", "--potential", "family=gaussian rho=1 dim=2 dim=3",
+              "--perturbation", "perturbation=identity"],
+             ["bound", "--potential", "family=gaussian rho=1 dim=2",
+              "--perturbation", "perturbation=arctan eps=0.3 eps=0.4"],
+             ["certify", "--family", "double_well", "--eps", "0.4", "--dim", "4"],
+             ["sweep", "--family", "double_well", "--dims", "1:3"],
+             ["bound", "--potential", "family=gaussian rho=1e308 dim=2",
+              "--perturbation", "perturbation=arctan eps=0.3", "--method", "fk"]]
     return cmds
 
 
