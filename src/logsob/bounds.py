@@ -199,8 +199,12 @@ def holley_stroock_bound(p: Potential, a: Perturbation) -> BoundReport:
     else:
         preconds.append(_not_evaluated(name, "needs a radial potential/perturbation pair "
                                              "or the identity perturbation"))
-    constant = ((a.sup_a.value * a.sup_a_inv.value) ** 4 * 2.0 / rho_a if rho_a > 0.0
-                else math.inf)
+    constant = math.inf
+    if rho_a > 0.0:
+        try:
+            constant = (a.sup_a.value * a.sup_a_inv.value) ** 4 * 2.0 / rho_a
+        except OverflowError:  # float ** raises past the largest float; * and / give inf
+            pass
     return _finalize("holley_stroock", preconds, _inputs(p, a), constant)
 
 

@@ -272,7 +272,7 @@ def _write_paths(path: str, batch) -> None:
         for (lo, hi), norms in zip(chunks, pool.map(j_norm, chunks)):
             cols = np.column_stack([np.arange(lo, hi), batch.x_t[lo:hi],
                                     batch.girsanov_log_weight[lo:hi], norms])
-            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
+            fh.write(row * (hi - lo) % tuple(cols.ravel().tolist()))
 
 
 def _cmd_verify(args) -> tuple:

@@ -249,9 +249,34 @@ def _radial_log_density(p: Potential, r: np.ndarray) -> np.ndarray:
         return (p.dim - 1) * np.log(r) - v  # -inf at r = 0: zero density there
 
 
-def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
-    from scipy.integrate import cumulative_simpson
+def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each three-point panel
+    (x1, x2, x3) of an unequally spaced grid; reversing y and dx gives the
+    second intervals.  Cartwright's eqn (8), in scipy's order of operations."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
 
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y over a strictly increasing x of at
+    least 3 points, 0 at x[0]: bit for bit
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``."""
+    dx = np.diff(x)
+    h1 = _simpson_h1(y, dx)
+    h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(dx.size)
+    parts[:-1:2] = h1[::2]
+    parts[1::2] = h2[::2]
+    parts[-1] = h2[-1]  # the last interval begins no panel
+    out = np.zeros(y.size)
+    np.cumsum(parts, out=out[1:])
+    return out
+
+
+def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     # locate r_max with negligible tail mass: double until the integrand has
     # fallen 60 e-folds below its peak and keeps decaying
     r_max = 4.0
@@ -268,7 +293,7 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     r = np.linspace(0.0, r_max, _RADIAL_NODES + 1)
     logd = _radial_log_density(p, r)
     dens = np.exp(logd - np.max(logd))
-    cdf = cumulative_simpson(dens, x=r, initial=0.0)
+    cdf = _cumulative_simpson(dens, r)
     total = cdf[-1]
     if not (np.isfinite(total) and total > 0):
         raise EstimationError("radial density is not normalizable on the grid")

@@ -112,6 +112,22 @@ def test_bound_invalid_is_reported_not_an_error(capsys):
     assert rep["constant"] == "inf"
 
 
+def test_holley_stroock_tilt_past_the_largest_float_gives_inf(capsys):
+    # (sup a * sup 1/a)^4 exceeds the largest float while rho_a > 0
+    code, out, err = run(
+        capsys, "bound",
+        "--potential", "family=gaussian rho=1e4 dim=1",
+        "--perturbation", "perturbation=arctan eps=240",
+        "--method", "hs",
+    )
+    assert code == 0
+    assert "error" not in json.loads(err)
+    rep = json.loads(out)[0]
+    assert rep["method"] == "holley_stroock"
+    assert rep["valid"] is True
+    assert rep["constant"] == "inf"
+
+
 def test_bound_bad_potential_exits_one(capsys):
     code, out, err = run(
         capsys, "bound",
@@ -257,6 +273,9 @@ _STARTUP_SCRIPT = textwrap.dedent("""
             "--t", "0.02", "--dt", "0.01", "--paths", "64", "--x0", "0,0"),
         run("verify", "--check", "martingale", "--potential", pot, "--perturbation", ident,
             "--t", "0.02", "--dt", "0.01", "--paths", "1000"),
+        run("verify", "--check", "audit", "--potential", pot,
+            "--perturbation", "perturbation=arctan eps=0.3", "--paths", "1000"),
+        run("sample", "--potential", pot, "-n", "10", "--method", "radial"),
     ]
     lean_loaded = [m for m in SCIPY if m in sys.modules]
     p = logsob.make_custom_potential(
@@ -268,23 +287,21 @@ _STARTUP_SCRIPT = textwrap.dedent("""
     rep = logsob.kappa(p, logsob.identity_perturbation(), logsob.SearchConfig(n_starts=2))
     print(json.dumps({
         "lean": lean, "lean_loaded": lean_loaded,
-        "sample": run("sample", "--potential", pot, "-n", "10", "--method", "radial"),
         "kappa": [rep.method, rep.value],
         "loaded": [m for m in SCIPY if m in sys.modules],
     }))
 """)
 
 
-def test_scipy_is_loaded_only_by_the_radial_sampler_and_multistart():
+def test_scipy_is_loaded_only_by_the_multistart_search():
     # a fresh process: the suite's own imports must not hide a module-level scipy import
     src = str(Path(logsob.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["lean"] == [0] * 5
+    assert seen["lean"] == [0] * 7
     assert seen["lean_loaded"] == []
-    assert seen["sample"] == 0
     assert seen["kappa"][0] == "full_grid" and seen["kappa"][1] == pytest.approx(2.0, abs=1e-6)
     assert seen["loaded"] == ["scipy.stats", "scipy.integrate", "scipy.optimize"]
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 
 from logsob.bounds import bakry_emery_bound, fk_bound, fk_mono_bound, optimize_epsilon
 from logsob.errors import EstimationError, ParameterError, PreconditionError
@@ -11,7 +11,7 @@ from logsob.perturbations import (
     identity_perturbation,
     make_custom_perturbation,
 )
-from logsob import rng
+from logsob import rng, verify
 from logsob.potentials import make_custom_potential, make_potential
 from logsob.sde import SdeConfig, SmoothFunction
 from logsob.verify import (
@@ -298,6 +298,34 @@ def test_radial_exact_double_well_symmetric_bimodal():
     # symmetric quantiles
     q = np.quantile(s, [0.25, 0.75])
     assert abs(q[0] + q[1]) < 0.02
+
+
+@pytest.mark.parametrize("family, params", [
+    ("gaussian", {"rho": 1.0}), ("gaussian", {"rho": 0.5}),
+    ("subbotin", {"alpha": 3.0}), ("subbotin", {"alpha": 4.0}),
+    ("double_well", {"beta": 0.25}), ("double_well", {"beta": 0.45}),
+])
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_cumulative_simpson_is_scipys_bit_for_bit_on_the_radial_grids(monkeypatch, family,
+                                                                      params, d):
+    calls, port = [], verify._cumulative_simpson
+
+    def spy(y, x):
+        calls.append((y, x, port(y, x)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(verify, "_cumulative_simpson", spy)
+    sample_measure(make_potential(family, d, **params), 10, method="radial_exact", seed=0)
+    (y, x, cdf), = calls
+    assert np.array_equal(cdf, cumulative_simpson(y, x=x, initial=0.0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 64, 1001])
+def test_cumulative_simpson_is_scipys_bit_for_bit_on_random_grids(n):
+    gen = np.random.default_rng(n)
+    x = np.cumsum(gen.uniform(1e-3, 2.0, n)) - 5.0
+    y = gen.standard_normal(n)
+    assert np.array_equal(verify._cumulative_simpson(y, x), cumulative_simpson(y, x=x, initial=0.0))
 
 
 def _anisotropic_quadratic():

@@ -139,6 +139,9 @@ def _commands() -> list:
              ["sweep", "--family", "double_well", "--dims", "1:3"],
              ["bound", "--potential", "family=gaussian rho=1e308 dim=2",
               "--perturbation", "perturbation=arctan eps=0.3", "--method", "fk"]]
+    # a Holley-Stroock tilt whose fourth power passes the largest float: constant inf
+    cmds.append(["bound", "--potential", "family=gaussian rho=1e4 dim=1",
+                 "--perturbation", "perturbation=arctan eps=240", "--method", "hs"])
     return cmds
 
 
