@@ -18,8 +18,8 @@ same closed forms, so rotation invariance holds by construction; the
 closed forms still written by hand (the eigenvalue floor, lap a / a) are
 checked against the point evaluators at three radii before each search,
 and a disagreement raises :class:`~logsob.errors.EvaluationError`.
-Non-radial inputs fall back to multi-start local descent from a
-deterministic Sobol point set; such reports are never certified.
+Non-radial inputs fall back to Nelder-Mead descents from the origin and
+deterministic Halton points; such reports are never certified.
 
 For the quartic family V = |x|^4/4 (and its double-well tilt) with the
 bounded perturbation a = exp((eps/2) arctan |x|^2), the statement "the
@@ -45,6 +45,7 @@ the certificate fails, or for ``kappa_tilde``, the radial grid decides.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -61,7 +62,8 @@ T_MAX = 1e4
 T_MAX_CAP = 1e8
 GRID_POINTS = 8192
 REFINE_TOL = 1e-10
-# multistart search: Sobol starting points in the box [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d
+# multistart search: Nelder-Mead descents from the origin and Halton points
+# in the box [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d
 BOX_HALFWIDTH = 8.0
 
 
@@ -72,6 +74,10 @@ class SearchConfig:
     constants above."""
 
     n_starts: int = 64
+
+    def __post_init__(self):
+        if not self.n_starts >= 1:
+            raise ParameterError("n_starts must be at least 1 (got %r)" % (self.n_starts,))
 
 
 @dataclass(frozen=True)
@@ -186,28 +192,118 @@ def _radial_search(p, a, weight):
         )
 
 
+def _halton(n: int, d: int) -> np.ndarray:
+    """Points 1..n of the Halton sequence in (0, 1)^d: the radical inverse
+    of each index in each of the first d primes, rounded once from its
+    exact fraction."""
+    primes = []
+    q = 2
+    while len(primes) < d:
+        if all(q % b for b in primes):
+            primes.append(q)
+        q += 1
+    index = np.arange(1, n + 1)
+    out = np.empty((n, d))
+    for j, b in enumerate(primes):
+        i, num, den = index.copy(), np.zeros(n, dtype=np.int64), 1
+        while den <= n:  # every digit of n: num / den = sum digit_k b^-(k+1)
+            num = num * b + i % b
+            i //= b
+            den *= b
+        out[:, j] = num / den
+    return out
+
+
+def _starts(n: int, d: int) -> np.ndarray:
+    """The n multistart points: the origin, then Halton points 1..n-1
+    mapped to the box [-BOX_HALFWIDTH, BOX_HALFWIDTH]^d."""
+    return np.vstack([np.zeros((1, d)), BOX_HALFWIDTH * (2.0 * _halton(n - 1, d) - 1.0)])
+
+
+def _nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Nelder-Mead descent of f from x0: scipy 1.17's ``_minimize_neldermead``
+    operation for operation (no bounds, not adaptive, no limit on the
+    evaluations), so fun and x equal those of ``scipy.optimize.minimize(f,
+    x0, method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter})`` bit for bit.  Returns (fun, x, evaluations,
+    steps), where steps counts each kind of step taken and "maxiter" when
+    the iterations ran out."""
+    evaluations = 0
+    steps = Counter()
+
+    def call(x):
+        nonlocal evaluations
+        evaluations += 1
+        return f(np.copy(x))  # the objective gets a copy, never a simplex row
+
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = call(sim[k])
+    for _ in range(2):  # scipy sorts twice; a tie may reorder
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = call(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = call(xe)
+            step, x, fx = ("expansion", xe, fxe) if fxe < fxr else ("reflection", xr, fxr)
+        elif fxr < fsim[-2]:
+            step, x, fx = "reflection", xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = call(xc)
+            step, x, fx = ("outside_contraction", xc, fxc) if fxc <= fxr else ("shrink", 0, 0)
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = call(xcc)
+            step, x, fx = ("inside_contraction", xcc, fxcc) if fxcc < fsim[-1] else ("shrink", 0, 0)
+        if step == "shrink":
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = call(sim[j])
+        else:
+            sim[-1], fsim[-1] = x, fx
+        steps[step] += 1
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    if iterations >= maxiter:
+        steps["maxiter"] += 1
+    return np.min(fsim), sim[0], evaluations, steps
+
+
 def _multistart_search(p, a, weight, cfg: SearchConfig):
-    from scipy.optimize import minimize
-    from scipy.stats import qmc
-
     d = p.dim
-    sampler = qmc.Sobol(d, scramble=False)
-    starts = qmc.scale(sampler.random(cfg.n_starts), -BOX_HALFWIDTH, BOX_HALFWIDTH)
-
-    def descend(x0):
-        res = minimize(
-            lambda x: _point_objective(p, a, x, weight),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400 * d},
-        )
-        return float(res.fun), np.asarray(res.x)
-
-    best_v, best_x = min(map(descend, starts), key=lambda r: r[0])
+    objective = lambda x: _point_objective(p, a, x, weight)
+    best_v, best_x, evaluations, at_maxiter = math.inf, None, 0, 0
+    for x0 in _starts(cfg.n_starts, d):
+        v, x, calls, steps = _nelder_mead(objective, x0, 1e-9, 1e-12, 400 * d)
+        evaluations += calls
+        at_maxiter += steps["maxiter"]
+        if best_x is None or v < best_v:
+            best_v, best_x = float(v), x
     on_boundary = bool(np.any(np.abs(best_x) > 0.98 * BOX_HALFWIDTH))
     return CurvatureReport(
         kind="", value=best_v, argmin=best_x, method="full_grid", certified=False,
-        details={"n_starts": cfg.n_starts, "box_halfwidth": BOX_HALFWIDTH,
+        details={"n_starts": cfg.n_starts, "start_design": "origin + Halton",
+                 "box_halfwidth": BOX_HALFWIDTH, "evaluations": evaluations,
+                 "descents_at_maxiter": at_maxiter,
                  "minimum_on_box_boundary": on_boundary},
     )
 

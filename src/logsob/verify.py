@@ -278,13 +278,13 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     # locate r_max with negligible tail mass: double until the integrand has
-    # fallen 60 e-folds below its peak and keeps decaying
+    # fallen 60 e-folds below its peak and keeps decaying, or is 0 (V = inf)
     r_max = 4.0
     for _ in range(60):
         r = np.linspace(0.0, r_max, 1025)
         logd = _radial_log_density(p, r)
         peak = np.max(logd)
-        if logd[-1] < peak - 60.0 and logd[-1] < logd[-2]:
+        if logd[-1] < peak - 60.0 and (logd[-1] < logd[-2] or logd[-1] == -np.inf):
             break
         r_max *= 2.0
     else:
@@ -298,9 +298,13 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     if not (np.isfinite(total) and total > 0):
         raise EstimationError("radial density is not normalizable on the grid")
     # crude tail bound: decay is at least exponential past r_max with the
-    # last local rate, so mass beyond the grid is below dens[-1] / rate
-    rate = max((logd[-2] - logd[-1]) / (r[-1] - r[-2]), 1e-3)
-    if dens[-1] / rate > 1e-12 * total:
+    # last local rate, so mass beyond the grid is below dens[-1] / rate; a
+    # density that is 0 at r_max (V = inf there) has no mass beyond it
+    if logd[-1] == -np.inf:
+        tail = 0.0
+    else:
+        tail = dens[-1] / max((logd[-2] - logd[-1]) / (r[-1] - r[-2]), 1e-3)
+    if tail > 1e-12 * total:
         raise EstimationError("tail mass beyond the radial grid exceeds 1e-12")
     cdf = cdf / total
 

@@ -251,13 +251,18 @@ def test_beta_with_quadric_exits_one(capsys, command, tail):
 # --- start-up -------------------------------------------------------------------
 
 _STARTUP_SCRIPT = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import contextlib, importlib.abc, io, json, sys
+
+    class NoScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError("no scipy: " + name)
+
+    sys.meta_path.insert(0, NoScipy())
 
     import numpy as np
     import logsob
     from logsob import cli
-
-    SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
     def run(*argv):
         sink = io.StringIO()
@@ -277,7 +282,6 @@ _STARTUP_SCRIPT = textwrap.dedent("""
             "--perturbation", "perturbation=arctan eps=0.3", "--paths", "1000"),
         run("sample", "--potential", pot, "-n", "10", "--method", "radial"),
     ]
-    lean_loaded = [m for m in SCIPY if m in sys.modules]
     p = logsob.make_custom_potential(
         2,
         value=lambda x: 0.5 * (x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2),
@@ -285,25 +289,29 @@ _STARTUP_SCRIPT = textwrap.dedent("""
         hessian=lambda x: np.broadcast_to(np.diag([1.0, 2.0]), np.shape(x)[:-1] + (2, 2)).copy(),
     )
     rep = logsob.kappa(p, logsob.identity_perturbation(), logsob.SearchConfig(n_starts=2))
+    try:
+        import scipy.optimize
+        blocked = False
+    except ImportError:
+        blocked = True
     print(json.dumps({
-        "lean": lean, "lean_loaded": lean_loaded,
-        "kappa": [rep.method, rep.value],
-        "loaded": [m for m in SCIPY if m in sys.modules],
+        "lean": lean, "kappa": [rep.method, rep.value], "blocked": blocked,
+        "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     }))
 """)
 
 
-def test_scipy_is_loaded_only_by_the_multistart_search():
-    # a fresh process: the suite's own imports must not hide a module-level scipy import
+def test_no_command_loads_scipy():
+    # a fresh process whose every scipy import fails: the suite's own
+    # imports must not hide a scipy import anywhere in the package
     src = str(Path(logsob.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["lean"] == [0] * 7
-    assert seen["lean_loaded"] == []
     assert seen["kappa"][0] == "full_grid" and seen["kappa"][1] == pytest.approx(2.0, abs=1e-6)
-    assert seen["loaded"] == ["scipy.stats", "scipy.integrate", "scipy.optimize"]
+    assert seen["blocked"] and seen["loaded"] == []
 
 
 # --- CSV cells -----------------------------------------------------------------
@@ -617,6 +625,16 @@ def test_sample_mala_with_chains_that_never_move_exits_one(capsys):
     assert manifest["error"].startswith(
         "EstimationError: 6 of 64 MALA chains accepted no proposal")
 
+
+
+def test_sample_subbotin_with_large_alpha_exits_zero(capsys):
+    # |x|^1000 overflows inside the first radial grid: V = inf there is a decayed tail
+    code, out, _ = run(capsys, "sample", "--potential", "family=subbotin alpha=1000 dim=1",
+                       "-n", "10")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "x_0" and len(lines) == 11
+    assert all(abs(float(v)) <= 1.02 for v in lines[1:])
 
 # --- usage errors ---------------------------------------------------------------------
 

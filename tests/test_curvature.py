@@ -4,15 +4,24 @@ import math
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from logsob.curvature import (
+    BOX_HALFWIDTH,
     Certificate,
+    SearchConfig,
     _check_radial_reduction,
+    _halton,
+    _nelder_mead,
     _nonneg_on_halfline,
+    _point_objective,
     _radial_objective,
     _radial_search,
+    _starts,
     certify_double_well,
     certify_quadric,
     kappa,
@@ -486,3 +495,90 @@ def test_multistart_non_radial_quadratic():
     assert rep.method == "full_grid"
     assert not rep.certified
     assert rep.value == pytest.approx(2.0, abs=1e-6)
+    assert rep.details["start_design"] == "origin + Halton"
+    assert rep.details["evaluations"] > rep.details["n_starts"] == 64
+
+
+def _anisotropic_quartic(d):
+    # x^T A x / 2 + sum x_i^4 / 4 with A = diag(linspace(1, 2, d)): kappa(0) = 2 + eps d
+    diag = np.linspace(1.0, 2.0, d)
+    idx = np.arange(d)
+
+    def hessian(x):
+        out = np.zeros(np.shape(x) + (d,))
+        out[..., idx, idx] = diag + 3.0 * np.asarray(x) ** 2
+        return out
+
+    return make_custom_potential(
+        d,
+        value=lambda x: 0.5 * np.sum(diag * x * x, axis=-1) + 0.25 * np.sum(x**4, axis=-1),
+        gradient=lambda x: diag * x + x**3,
+        hessian=hessian,
+    )
+
+
+_NM_OBJECTIVES = {
+    "quadratic": lambda x: float(np.sum(np.linspace(1, 4, x.size) * (x - 1) ** 2)),
+    "rosenbrock": lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1 - x) ** 2)),
+    "l1": lambda x: float(np.sum(np.abs(x - 0.5))),
+}
+
+
+def test_nelder_mead_is_scipys_bit_for_bit():
+    steps, n = Counter(), 0
+    for d in (1, 2, 3, 5):
+        p, a = _anisotropic_quartic(d), arctan_perturbation(0.3)
+        curvature = lambda x: _point_objective(p, a, x, 2.0)
+        starts = [np.zeros(d), np.full(d, BOX_HALFWIDTH), *_starts(4, d)[1:]]
+        cases = [(f, x0, m) for f in _NM_OBJECTIVES.values() for x0 in starts
+                 for m in (400 * d, 15)]
+        cases.append((curvature, starts[-1], 400 * d))
+        for f, x0, maxiter in cases:
+            res = minimize(f, x0, method="Nelder-Mead",
+                           options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": maxiter})
+            fun, x, evaluations, taken = _nelder_mead(f, x0, 1e-9, 1e-12, maxiter)
+            assert np.array_equal(x, res.x) and fun == res.fun, (d, x0, maxiter)
+            assert evaluations == res.nfev
+            assert (taken["maxiter"] == 1) == (res.status == 2)
+            steps += taken
+            n += 1
+    # the grid takes every kind of step, and stops both ways
+    for kind in ("reflection", "expansion", "outside_contraction", "inside_contraction",
+                 "shrink", "maxiter"):
+        assert steps[kind] > 0, kind
+    assert steps["maxiter"] < n
+
+
+def test_halton_points_are_radical_inverses():
+    assert np.array_equal(_halton(4, 2), [[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9],
+                                          [1 / 8, 4 / 9]])
+    assert _halton(0, 3).shape == (0, 3)
+    # 1025 = 2^10 + 1 has eleven binary digits
+    assert _halton(1025, 1)[-1, 0] == 0.5 + 2.0**-11
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (4, 2), (64, 3), (64, 40)])
+def test_start_design(n, d):
+    starts = _starts(n, d)
+    assert starts.shape == (n, d)
+    assert np.array_equal(starts, _starts(n, d))
+    assert np.array_equal(starts[0], np.zeros(d))
+    assert np.all(np.abs(starts) < BOX_HALFWIDTH)
+    assert len({tuple(x) for x in starts}) == n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_starts", [1, 4])
+def test_multistart_is_no_higher_than_at_the_origin(d, n_starts):
+    p, a = _anisotropic_quartic(d), arctan_perturbation(0.3)
+    rep = kappa(p, a, SearchConfig(n_starts=n_starts))
+    at_origin = _point_objective(p, a, np.zeros(d), 2.0)
+    assert at_origin == pytest.approx(2.0 + 0.3 * d, rel=1e-12)
+    assert rep.method == "full_grid" and rep.value <= at_origin
+    assert rep.details["descents_at_maxiter"] <= n_starts
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_search_config_needs_a_start(n_starts):
+    with pytest.raises(ParameterError, match="n_starts must be at least 1"):
+        SearchConfig(n_starts=n_starts)

@@ -300,6 +300,20 @@ def test_radial_exact_double_well_symmetric_bimodal():
     assert abs(q[0] + q[1]) < 0.02
 
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_radial_exact_subbotin_where_v_overflows(d):
+    # |x|^1000 overflows past r ~ 2: the density is 0 at the end of the grid
+    p = make_potential("subbotin", d, alpha=1000.0)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(sample_measure(p, 2000, method="radial_exact", seed=7), axis=1)
+    assert r.max() <= 1.02
+    dens = lambda s: s ** (d - 1) * np.exp(-s**1000 / 1000)
+    inside = quad(dens, 0, 1)[0]
+    inside /= inside + quad(dens, 1, 1.1, points=[1.005, 1.01])[0]
+    se = math.sqrt(inside * (1 - inside) / r.size)
+    assert abs(np.mean(r <= 1) - inside) <= 4 * se
+
 @pytest.mark.parametrize("family, params", [
     ("gaussian", {"rho": 1.0}), ("gaussian", {"rho": 0.5}),
     ("subbotin", {"alpha": 3.0}), ("subbotin", {"alpha": 4.0}),
