@@ -626,7 +626,6 @@ def test_sample_mala_with_chains_that_never_move_exits_one(capsys):
         "EstimationError: 6 of 64 MALA chains accepted no proposal")
 
 
-
 def test_sample_subbotin_with_large_alpha_exits_zero(capsys):
     # |x|^1000 overflows inside the first radial grid: V = inf there is a decayed tail
     code, out, _ = run(capsys, "sample", "--potential", "family=subbotin alpha=1000 dim=1",
@@ -635,6 +634,7 @@ def test_sample_subbotin_with_large_alpha_exits_zero(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x_0" and len(lines) == 11
     assert all(abs(float(v)) <= 1.02 for v in lines[1:])
+
 
 # --- usage errors ---------------------------------------------------------------------
 

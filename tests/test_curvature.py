@@ -1,10 +1,9 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-
-from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -497,6 +496,7 @@ def test_multistart_non_radial_quadratic():
     assert rep.value == pytest.approx(2.0, abs=1e-6)
     assert rep.details["start_design"] == "origin + Halton"
     assert rep.details["evaluations"] > rep.details["n_starts"] == 64
+    assert rep.details["descents_at_maxiter"] == 0
 
 
 def _anisotropic_quartic(d):
@@ -517,11 +517,12 @@ def _anisotropic_quartic(d):
     )
 
 
-_NM_OBJECTIVES = {
-    "quadratic": lambda x: float(np.sum(np.linspace(1, 4, x.size) * (x - 1) ** 2)),
-    "rosenbrock": lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1 - x) ** 2)),
-    "l1": lambda x: float(np.sum(np.abs(x - 0.5))),
-}
+# a quadratic, Rosenbrock's function and an l1 distance
+_NM_OBJECTIVES = (
+    lambda x: float(np.sum(np.linspace(1, 4, x.size) * (x - 1) ** 2)),
+    lambda x: float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1 - x) ** 2)),
+    lambda x: float(np.sum(np.abs(x - 0.5))),
+)
 
 
 def test_nelder_mead_is_scipys_bit_for_bit():
@@ -530,7 +531,7 @@ def test_nelder_mead_is_scipys_bit_for_bit():
         p, a = _anisotropic_quartic(d), arctan_perturbation(0.3)
         curvature = lambda x: _point_objective(p, a, x, 2.0)
         starts = [np.zeros(d), np.full(d, BOX_HALFWIDTH), *_starts(4, d)[1:]]
-        cases = [(f, x0, m) for f in _NM_OBJECTIVES.values() for x0 in starts
+        cases = [(f, x0, m) for f in _NM_OBJECTIVES for x0 in starts
                  for m in (400 * d, 15)]
         cases.append((curvature, starts[-1], 400 * d))
         for f, x0, maxiter in cases:
@@ -575,7 +576,6 @@ def test_multistart_is_no_higher_than_at_the_origin(d, n_starts):
     at_origin = _point_objective(p, a, np.zeros(d), 2.0)
     assert at_origin == pytest.approx(2.0 + 0.3 * d, rel=1e-12)
     assert rep.method == "full_grid" and rep.value <= at_origin
-    assert rep.details["descents_at_maxiter"] <= n_starts
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])

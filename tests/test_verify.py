@@ -300,7 +300,6 @@ def test_radial_exact_double_well_symmetric_bimodal():
     assert abs(q[0] + q[1]) < 0.02
 
 
-
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
 def test_radial_exact_subbotin_where_v_overflows(d):
     # |x|^1000 overflows past r ~ 2: the density is 0 at the end of the grid
@@ -313,6 +312,7 @@ def test_radial_exact_subbotin_where_v_overflows(d):
     inside /= inside + quad(dens, 1, 1.1, points=[1.005, 1.01])[0]
     se = math.sqrt(inside * (1 - inside) / r.size)
     assert abs(np.mean(r <= 1) - inside) <= 4 * se
+
 
 @pytest.mark.parametrize("family, params", [
     ("gaussian", {"rho": 1.0}), ("gaussian", {"rho": 0.5}),
