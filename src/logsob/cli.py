@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    SweepRow,
     bakry_emery_bound,
     dimension_sweep,
     fk_bound,
@@ -65,31 +66,18 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()] if obj.ndim else _jsonable(obj.item())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def dumps(obj, one_line: bool = False) -> str:
-    """JSON text with 17-significant-digit floats, on one line if asked."""
-    obj = _jsonable(obj)
+    """JSON text with 17-significant-digit floats, on one line if asked.
+    Dataclasses are written field by field, tuples as lists, numpy arrays
+    and scalars as the Python values they hold, and dict keys as strings."""
     nl = "" if one_line else "\n"
     sep = ", " if one_line else ",\n"
 
     def render(o, depth):
+        if isinstance(o, (np.ndarray, np.generic)):
+            o = o.tolist()
+        elif dataclasses.is_dataclass(o) and not isinstance(o, type):
+            o = {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
         sp = "" if one_line else "  " * depth
         spn = "" if one_line else "  " * (depth + 1)
         if o is None:
@@ -106,9 +94,9 @@ def dumps(obj, one_line: bool = False) -> str:
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            items = [f"{spn}{render(k, depth)}: {render(v, depth + 1)}" for k, v in o.items()]
+            items = [f"{spn}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in o.items()]
             return "{" + nl + sep.join(items) + f"{nl}{sp}}}"
-        if isinstance(o, list):
+        if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
             items = [f"{spn}{render(v, depth + 1)}" for v in o]
@@ -119,6 +107,8 @@ def dumps(obj, one_line: bool = False) -> str:
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
     # "%.17g" writes nan, inf and -inf itself
     return "%.17g" % v if isinstance(v, float) else str(v)
 
@@ -217,12 +207,9 @@ def _parse_dims(spec: str):
 def _cmd_sweep(args) -> tuple:
     _check_beta(args)
     rows = dimension_sweep(args.family, _parse_dims(args.dims), beta=args.beta)
-    lines = ["d,eps,kappa,bound,envelope,valid,certified"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.d), _csv_cell(r.eps), _csv_cell(r.kappa), _csv_cell(r.bound),
-            _csv_cell(r.envelope), str(r.valid).lower(), str(r.certified).lower(),
-        ]))
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_cell(getattr(r, n)) for n in names) for r in rows]
     return "\n".join(lines), True
 
 
@@ -281,7 +268,7 @@ def _cmd_verify(args) -> tuple:
     # each check builds only what it reads: the audit samples the measure
     # and never simulates, and the martingale check has no test function
     if args.check == "audit":
-        _, bound = _audit_bound(p, a)
+        bound = _audit_bound(p, a)
         samples = sample_measure(p, args.paths, method="radial_exact", seed=args.seed)
         rep = lsi_audit(p, bound, samples, seed=args.seed)
         return dumps(rep), bool(rep.passed)
@@ -298,13 +285,11 @@ def _cmd_verify(args) -> tuple:
 
 def _audit_bound(p, a):
     if p.family == "subbotin" and p.params.get("alpha") == 4.0:
-        return optimize_epsilon("quadric", p.dim)
+        return optimize_epsilon("quadric", p.dim)[1]
     if p.family == "double_well":
-        return optimize_epsilon("double_well", p.dim, p.params["beta"])
+        return optimize_epsilon("double_well", p.dim, p.params["beta"])[1]
     rep = fk_bound(p, a)
-    if not rep.valid:
-        rep = bakry_emery_bound(p)
-    return None, rep
+    return rep if rep.valid else bakry_emery_bound(p)
 
 
 def _cmd_sample(args) -> tuple:

@@ -13,11 +13,11 @@ For radial potentials and perturbations both terms depend on x only
 through t = |x|^2, so the d-dimensional infimum collapses to a scan of
 [0, infinity) on a logarithmic grid followed by golden-section refinement,
 evaluated from the closed forms in t (``Potential.radial``,
-``Perturbation.radial``).  A built-in's evaluators on x derive from the
-same closed forms, so rotation invariance holds by construction; the
-closed forms still written by hand (the eigenvalue floor, lap a / a) are
-checked against the point evaluators at three radii before each search,
-and a disagreement raises :class:`~logsob.errors.EvaluationError`.
+``Perturbation.radial``).  A built-in's evaluators on x, lap a / a
+included, derive from the same closed forms, so rotation invariance holds
+by construction.  Three radii check, before each search, rho_- against
+the Hessian split, the Gaussian's one-line evaluators and the objective's
+finiteness; a disagreement raises :class:`~logsob.errors.EvaluationError`.
 Non-radial inputs fall back to Nelder-Mead descents from the origin and
 deterministic Halton points; such reports are never certified.
 
@@ -116,8 +116,9 @@ def _point_objective(p: Potential, a: Perturbation, x: np.ndarray, weight: float
 
 
 def _check_radial_reduction(p, a, weight):
-    """The closed forms in t must agree with the point evaluators: the
-    radial objective at t = r^2 against the full one at (r, 0, ..., 0)."""
+    """The objective in t = r^2 against the one at (r, 0, ..., 0), at three
+    radii: rho_minus against the Hessian split, the Gaussian's one-line
+    evaluators and finiteness.  Both sides read the same lap a / a."""
     radii = (0.5, 1.3, 3.7)
     closed = _radial_objective(p, a, np.square(radii), weight)
     for radius, c in zip(radii, closed):

@@ -249,25 +249,16 @@ def _radial_log_density(p: Potential, r: np.ndarray) -> np.ndarray:
         return (p.dim - 1) * np.log(r) - v  # -inf at r = 0: zero density there
 
 
-def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integral over the first interval of each three-point panel
-    (x1, x2, x3) of an unequally spaced grid; reversing y and dx gives the
-    second intervals.  Cartwright's eqn (8), in scipy's order of operations."""
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      + -x21x21_x31x32 * y[2:])
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of y over a strictly increasing x of at
-    least 3 points, 0 at x[0]: bit for bit
-    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``."""
-    dx = np.diff(x)
-    h1 = _simpson_h1(y, dx)
-    h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
-    parts = np.empty(dx.size)
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative Simpson integral of y, 0 at the first of its n >= 3 points
+    spaced exactly h apart: constant-weight Simpson on an exactly uniform
+    grid, equal to scipy's ``cumulative_simpson(y, x=x, initial=0.0)`` there
+    bit for bit.  Cartwright's weights on a panel's first interval are then
+    exactly h/6 * (2.5, 4, -0.5), and mirrored on its second."""
+    y1, y2, y3 = y[:-2], y[1:-1], y[2:]
+    h1 = h / 6 * (2.5 * y1 + 4.0 * y2 + -0.5 * y3)
+    h2 = h / 6 * (2.5 * y3 + 4.0 * y2 + -0.5 * y1)
+    parts = np.empty(y.size - 1)
     parts[:-1:2] = h1[::2]
     parts[1::2] = h2[::2]
     parts[-1] = h2[-1]  # the last interval begins no panel
@@ -290,10 +281,12 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     else:
         raise EstimationError("radial density tail does not decay; non-normalizable")
 
+    # r_max = 4 * 2**k over 2**14 intervals: every spacing of r is exactly h
     r = np.linspace(0.0, r_max, _RADIAL_NODES + 1)
+    h = r_max / _RADIAL_NODES
     logd = _radial_log_density(p, r)
     dens = np.exp(logd - np.max(logd))
-    cdf = _cumulative_simpson(dens, r)
+    cdf = _cumulative_simpson(dens, h)
     total = cdf[-1]
     if not (np.isfinite(total) and total > 0):
         raise EstimationError("radial density is not normalizable on the grid")
@@ -303,7 +296,7 @@ def _sample_radial_exact(p: Potential, n: int, seed: int) -> np.ndarray:
     if logd[-1] == -np.inf:
         tail = 0.0
     else:
-        tail = dens[-1] / max((logd[-2] - logd[-1]) / (r[-1] - r[-2]), 1e-3)
+        tail = dens[-1] / max((logd[-2] - logd[-1]) / h, 1e-3)
     if tail > 1e-12 * total:
         raise EstimationError("tail mass beyond the radial grid exceeds 1e-12")
     cdf = cdf / total

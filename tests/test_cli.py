@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import logsob
+from logsob.bounds import BoundReport, Verdict
 from logsob.cli import EMIT_ROWS, _csv_cell, dumps, main
 from logsob.perturbations import parse_perturbation, render_perturbation
 from logsob.potentials import parse_potential, render_potential
@@ -47,6 +48,60 @@ def test_dumps_escapes_keys_and_strings():
 def test_dumps_numpy_types():
     obj = json.loads(dumps({"v": np.array([1.5, 2.5]), "n": np.int64(3), "f": np.float64(0.5)}))
     assert obj == {"v": [1.5, 2.5], "n": 3, "f": 0.5}
+
+
+def test_dumps_exact_text_of_nested_dataclasses_and_numpy_values():
+    # a report holding a tuple of dataclasses, numpy scalars, a 0-d array,
+    # float keys (martingale_check's means) and empty containers
+    rep = BoundReport(method="fk", constant=0.5, valid=np.bool_(True),
+                      preconditions=(Verdict("(G)", True, False),
+                                     Verdict("kappa > 0", np.bool_(False), True, "grid")),
+                      inputs={"dim": 2, "eps": np.float64(0.25)}, certified=False, notes="")
+    obj = {"report": rep, "passed": np.bool_(False), "lhs": np.array(1.0 / 3.0),
+           "means": {0.02: 1.0, 0.04: np.float64(0.75)}, "flags": (), "details": {}}
+    assert dumps(obj) == textwrap.dedent("""\
+        {
+          "report": {
+            "method": "fk",
+            "constant": 0.5,
+            "valid": true,
+            "preconditions": [
+              {
+                "name": "(G)",
+                "ok": true,
+                "heuristic": false,
+                "detail": ""
+              },
+              {
+                "name": "kappa > 0",
+                "ok": false,
+                "heuristic": true,
+                "detail": "grid"
+              }
+            ],
+            "inputs": {
+              "dim": 2,
+              "eps": 0.25
+            },
+            "certified": false,
+            "notes": ""
+          },
+          "passed": false,
+          "lhs": 0.33333333333333331,
+          "means": {
+            "0.02": 1,
+            "0.04": 0.75
+          },
+          "flags": [],
+          "details": {}
+        }""")
+    assert dumps(obj, one_line=True) == (
+        '{"report": {"method": "fk", "constant": 0.5, "valid": true, "preconditions": '
+        '[{"name": "(G)", "ok": true, "heuristic": false, "detail": ""}, '
+        '{"name": "kappa > 0", "ok": false, "heuristic": true, "detail": "grid"}], '
+        '"inputs": {"dim": 2, "eps": 0.25}, "certified": false, "notes": ""}, '
+        '"passed": false, "lhs": 0.33333333333333331, "means": {"0.02": 1, "0.04": 0.75}, '
+        '"flags": [], "details": {}}')
 
 
 # --- bound -------------------------------------------------------------------
@@ -321,6 +376,7 @@ def test_csv_cell_non_finite_and_non_float():
     assert _csv_cell(0.1) == "0.10000000000000001"
     assert _csv_cell(-0.0) == "-0"
     assert _csv_cell(3) == "3" and _csv_cell("x") == "x"
+    assert _csv_cell(True) == "true" and _csv_cell(False) == "false"
     # the row formats of --emit-paths and sample write the same cells
     row = "%d" + ",%.17g" * 4
     assert row % (7.0, 0.1, math.nan, math.inf, -math.inf) == "7,0.10000000000000001,nan,inf,-inf"

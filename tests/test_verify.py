@@ -322,24 +322,36 @@ def test_radial_exact_subbotin_where_v_overflows(d):
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
 def test_cumulative_simpson_is_scipys_bit_for_bit_on_the_radial_grids(monkeypatch, family,
                                                                       params, d):
-    calls, port = [], verify._cumulative_simpson
+    calls, simpson = [], verify._cumulative_simpson
 
-    def spy(y, x):
-        calls.append((y, x, port(y, x)))
+    def spy(y, h):
+        calls.append((y, h, simpson(y, h)))
         return calls[-1][2]
 
     monkeypatch.setattr(verify, "_cumulative_simpson", spy)
     sample_measure(make_potential(family, d, **params), 10, method="radial_exact", seed=0)
-    (y, x, cdf), = calls
-    assert np.array_equal(cdf, cumulative_simpson(y, x=x, initial=0.0))
+    (y, h, cdf), = calls
+    r = np.linspace(0.0, h * (y.size - 1), y.size)
+    assert np.array_equal(cdf, cumulative_simpson(y, x=r, initial=0.0))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 64, 1001])
-def test_cumulative_simpson_is_scipys_bit_for_bit_on_random_grids(n):
-    gen = np.random.default_rng(n)
-    x = np.cumsum(gen.uniform(1e-3, 2.0, n)) - 5.0
+@pytest.mark.parametrize("log2_h", [-14, -3, 0, 5])
+def test_cumulative_simpson_is_scipys_bit_for_bit_on_uniform_grids(n, log2_h):
+    gen = np.random.default_rng([n, log2_h + 20])
+    h = 2.0**log2_h
+    x = h * np.arange(n)
     y = gen.standard_normal(n)
-    assert np.array_equal(verify._cumulative_simpson(y, x), cumulative_simpson(y, x=x, initial=0.0))
+    assert np.array_equal(verify._cumulative_simpson(y, h), cumulative_simpson(y, x=x, initial=0.0))
+
+
+def test_radial_grid_spacing_is_exactly_constant():
+    # the constant Simpson weights need it at every r_max = 4 * 2**k the
+    # sampler's doubling loop can reach, on its 2**14 + 1 nodes
+    for k in range(60):
+        r_max = 4.0 * 2.0**k
+        r = np.linspace(0.0, r_max, verify._RADIAL_NODES + 1)
+        assert np.all(np.diff(r) == r_max / verify._RADIAL_NODES), k
 
 
 def _anisotropic_quadratic():

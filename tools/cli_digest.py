@@ -142,6 +142,12 @@ def _commands() -> list:
     # a Holley-Stroock tilt whose fourth power passes the largest float: constant inf
     cmds.append(["bound", "--potential", "family=gaussian rho=1e4 dim=1",
                  "--perturbation", "perturbation=arctan eps=240", "--method", "hs"])
+    # radial samples whose grids end at r_max = 4, 8, 32 and 2048, one of
+    # them where V overflows to inf before the end
+    for pot in ("family=gaussian rho=1 dim=64", "family=gaussian rho=1e-4 dim=2",
+                "family=subbotin alpha=3 dim=8", "family=subbotin alpha=1000 dim=1",
+                "family=double_well beta=0.45 dim=2"):
+        cmds.append(["sample", "--potential", pot, "-n", "500", "--seed", "9"])
     return cmds
 
 
