@@ -224,17 +224,19 @@ def _cmd_simulate(args) -> tuple:
     # raises EstimationError, and the run exits 1.  Only the weight's
     # standard error is printed; the other means are those of _reduce.
     weight = _reduce(batch.weights(), batch.divergent)
-    valid = ~batch.divergent
+    x_t, psi_integral = batch.x_t, batch.psi_integral
+    if weight.n_divergent:
+        x_t, psi_integral = x_t[~batch.divergent], psi_integral[~batch.divergent]
     summary = {
         "variant": variant,
         "n_paths": cfg.n_paths,
         "n_steps": cfg.n_steps,
         "dt": cfg.dt_eff,
-        "n_divergent": batch.n_divergent,
-        "mean_x_t": [float(v) for v in np.mean(batch.x_t[valid], axis=0)],
+        "n_divergent": weight.n_divergent,
+        "mean_x_t": [float(v) for v in np.mean(x_t, axis=0)],
         "mean_weight": float(weight.mean),
         "stderr_weight": float(weight.std_error),
-        "mean_psi_integral": float(np.mean(batch.psi_integral[valid], axis=0)),
+        "mean_psi_integral": float(np.mean(psi_integral, axis=0)),
     }
     if args.emit_paths:
         _write_paths(args.emit_paths, batch)

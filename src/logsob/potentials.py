@@ -143,7 +143,8 @@ def _subbotin(alpha: float, dim: int) -> Potential:
         return np.where(t > 0, np.where(t > 0, t, 1.0) ** k, 0.0)
 
     def grad_coeff(t):
-        return power(np.asarray(t, dtype=float), half - 1.0)  # |x|^(alpha-2)
+        # |x|^(alpha-2): the exponent is positive, so t = 0 needs no mask
+        return np.asarray(t, dtype=float) ** (half - 1.0)
 
     def rho_minus(t):
         # tangential eigenvalue for d >= 2; in d = 1 only V'' exists

@@ -15,6 +15,8 @@ from a single stream keyed by ``(seed, tag)``.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 BLOCK_PATHS = 1 << 16
@@ -30,11 +32,16 @@ def _generator(seed: int, word: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def step_normals(seed: int, block: int, step: int, n: int, dim: int) -> np.ndarray:
-    """Standard normals for paths of one block at one time step, shape (n, dim)."""
+def step_normals(seed: int, block: int, step: int, n: int, dim: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normals for paths of one block at one time step, shape (n, dim).
+
+    With ``out`` (a C-contiguous float64 array of that shape) the draws are
+    written into it and it is returned: the same numbers as a fresh array,
+    so a caller can reuse one buffer across steps."""
     if block >= 1 << 32 or step >= 1 << 32:
         raise ValueError("block/step index out of the 32-bit key range")
-    return _generator(seed, (block << 32) | step).standard_normal((n, dim))
+    return _generator(seed, (block << 32) | step).standard_normal((n, dim), out=out)
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:

@@ -48,11 +48,18 @@ start of each step, and a weighted lane observes its final state once
 more, for its weight.  Between steps a lane holds only its state (x, |x|^2,
 J, and on weighted lanes the running weight), never a step's temporaries.
 
-Tiles: the tangent update runs on tiles of :func:`tile_rows` rows (1 MB
-of J, ``TANGENT_TILE`` entries), so each block holds two tile-sized
-scratch arrays beside J whatever its size, and a potential without a
-radial profile builds its Hessian one tile at a time.  The operations on
-each row are those of a block-wide pass, bit for bit.
+Tiles: each lane steps a block in row tiles of :func:`step_rows` rows
+(``STEP_TILE`` entries, 512 kB, per (rows, d) array), one generator per
+tile, so a step's temporaries (the drift, psi_a, the new state) do not
+grow with the block.  The block draws each step's normals in one call into
+one buffer, and each tile reads its rows of it.  Within a tile the tangent
+update runs on sub-tiles of :func:`tile_rows` rows (1 MB of J,
+``TANGENT_TILE`` entries) through two scratch arrays that the block's
+lanes share, and a potential without a radial profile builds its Hessian
+one sub-tile at a time.  The operations on each row are those of a
+block-wide pass, bit for bit; the shortcuts taken when every path is
+alive or when the Hessian's A term vanishes are decided per tile, and
+move no bit.
 
 A path whose next state fails |x|^2 <= 1e16 (as a NaN or an infinite
 coordinate does), or whose psi_a turns non-finite on a weighted path, is
@@ -87,11 +94,18 @@ MAX_DIVERGENT_FRACTION = 1e-3
 FD_STEP = 1e-3
 # entries of one scratch tile of the tangent update: 2**17 doubles, 1 MB
 TANGENT_TILE = 1 << 17
+# entries of one (rows, d) array of a step tile: 2**16 doubles, 512 kB
+STEP_TILE = 1 << 16
 
 
 def tile_rows(d: int) -> int:
     """Rows of J that one tangent-update tile holds in dimension d."""
     return max(1, TANGENT_TILE // (d * d))
+
+
+def step_rows(d: int) -> int:
+    """Rows of one step tile in dimension d."""
+    return max(1, STEP_TILE // d)
 
 
 @dataclass(frozen=True)
@@ -260,31 +274,48 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
     on rows lo:hi of its batch, which hold the initial state, and return
     per lane the sup of |grad a|/a they visited.  Each step's increments
-    are drawn once and fed to every lane."""
+    are drawn once, into one buffer, and fed to every lane; a lane steps
+    the block one tile of :func:`step_rows` rows at a time."""
     b, lo, hi = block
     d = cfg.dim
-    # scratch of the tangent update, one tile each, shared by the lanes and
-    # reused on every step
+    tiles = [(s, min(s + step_rows(d), hi)) for s in range(lo, hi, step_rows(d))]
+    # scratch of the tangent update, one sub-tile each, shared by the lanes'
+    # tiles and reused on every step
     work = None
     if any(batch.j_t is not None for batch in batches):
         rows = min(hi - lo, tile_rows(d))
         work = (np.empty((rows, d, d)), np.empty((rows, d, d)))
-    lanes = [_lane_steps(p, a, cfg, w, batch, lo, hi, step_of, work)
+    lanes = [[_lane_steps(p, a, cfg, w, batch, s, e, step_of, work) for s, e in tiles]
              for batch, w in zip(batches, weighted)]
     for lane in lanes:
-        next(lane)
-    for k in range(cfg.n_steps):
-        xi = rng.step_normals(cfg.seed, b, k, hi - lo, d)
-        # after the last step each lane answers with its sup of |grad a|/a
-        observed = [lane.send(xi) for lane in lanes]
+        for tile in lane:
+            next(tile)
+    xi = np.empty((hi - lo, d))
+    observed = [0.0] * len(lanes)
+    for k in range(cfg.n_steps + 1):
+        if k < cfg.n_steps:
+            rng.step_normals(cfg.seed, b, k, hi - lo, d, out=xi)
+            parts = [xi[s - lo:e - lo] for s, e in tiles]
+        else:
+            # after the last step each tile observes its final state
+            parts = [None] * len(tiles)
+        for i, lane in enumerate(lanes):
+            # the block's sup at the state after k steps is the max over its
+            # tiles, NaN if any tile's is, as one max over its rows would
+            # give; the steps then fold in order
+            sup = float(np.max([tile.send(part) for tile, part in zip(lane, parts)]))
+            observed[i] = sup if k == 0 else max(observed[i], sup)
     return observed
 
 
 def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     """The paths of one lane on rows lo:hi of ``batch``, as a generator:
-    primed with ``next``, it takes each step's increments by ``send``,
-    holds only its state between steps, and answers the last step with the
-    sup of |grad a|/a the paths visited (0 on unweighted paths)."""
+    primed with ``next``, it takes each step's increments by ``send`` and
+    answers with the sup of |grad a|/a over its live paths at the state the
+    step started from (0 on unweighted paths); a further ``send(None)``
+    after the last step observes the final state, records the lane's
+    outputs and answers with that state's sup.  Between steps it holds
+    only its state."""
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
 
@@ -293,7 +324,6 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     j = None if batch.j_t is None else batch.j_t[lo:hi]
     alive = np.ones(hi - lo, dtype=bool)
     fields = _step_fields(p, a, weighted)
-    observed_lg = 0.0
     if weighted:
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
         psi_sum = psi_last = np.zeros(hi - lo)
@@ -305,31 +335,34 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
     def observe(k):
-        """(drift, lg, |lg|^2, weight) at the state after k steps, lg as in
-        ``_step_fields``.  A weighted lane also takes the sup of |grad a|/a on
-        its live paths, freezes the paths whose psi is not finite, adds psi to
-        the trapezoid sum (half weight at k = 0; log_weight halves the last
+        """(drift, lg, |lg|^2, weight, sup) at the state after k steps, lg as
+        in ``_step_fields``.  A weighted lane also takes the sup of |grad a|/a
+        on its live paths, freezes the paths whose psi is not finite, adds psi
+        to the trapezoid sum (half weight at k = 0; log_weight halves the last
         term) and, at a checkpoint step or the last one, takes log_weight()
         once as ``weight`` and records the checkpoints of step k from it."""
-        nonlocal alive, observed_lg, psi_sum, psi_last
-        weight = None
+        nonlocal alive, psi_sum, psi_last
+        weight, sup = None, 0.0
         drift, lg, lg_norm2, psi_x = fields(x, t)
         if weighted:
-            lg_sup = float(np.max(lg_norm2[alive], initial=0.0)) ** 0.5
-            observed_lg = lg_sup if k == 0 else max(observed_lg, lg_sup)
+            sup = float(np.max(lg_norm2, where=alive, initial=0.0)) ** 0.5
             alive = alive & np.isfinite(psi_x)
-            psi_x = np.where(alive, psi_x, 0.0)
+            if alive.all():
+                psi_last = psi_x
+            else:
+                psi_x = np.where(alive, psi_x, 0.0)
+                psi_last = np.where(alive, psi_x, psi_last)
             psi_sum = 0.5 * psi_x if k == 0 else psi_sum + psi_x
-            psi_last = np.where(alive, psi_x, psi_last)
             if k in step_of or k == cfg.n_steps:
                 weight = log_weight()
             for tc in step_of.get(k, ()):
                 batch.checkpoint_log_weights[tc][lo:hi] = weight[0]
-        return drift, lg, lg_norm2, weight
+        return drift, lg, lg_norm2, weight, sup
 
+    sup = 0.0
     for k in range(cfg.n_steps):
-        xi = yield
-        drift, lg, lg_norm2, _ = observe(k)
+        xi = yield sup
+        drift, lg, lg_norm2, _, sup = observe(k)
         if track_stoch:
             if lg is None:
                 lg = np.asarray(a.log_grad(x), dtype=float)
@@ -352,10 +385,12 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         np.copyto(t, t_new, where=True if everyone else alive)
         # a lane waiting for the next step holds only its state
         del xi, drift, lg, lg_norm2, x_new, t_new
+    yield sup
     if weighted:
-        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = observe(cfg.n_steps)[3]
+        _, _, _, weight, sup = observe(cfg.n_steps)
+        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = weight
     batch.divergent[lo:hi] = ~alive
-    yield observed_lg
+    yield sup
 
 
 def _step_fields(p, a, weighted):
@@ -451,7 +486,9 @@ def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch
     n_valid = int(np.sum(valid))
     if n_valid < 2:
         raise EstimationError(f"only {n_valid} valid paths; cannot estimate")
-    vals = np.asarray(values)[valid]
+    vals = np.asarray(values)
+    if n_valid < divergent.size:
+        vals = vals[valid]
     mean = np.mean(vals, axis=0)
     se = np.std(vals, axis=0, ddof=1) / math.sqrt(n_valid)
     flags = []

@@ -102,6 +102,18 @@ def test_dimension_must_be_positive():
         make_potential("gaussian", 0, rho=1.0)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 8.0, 1000.0])
+def test_subbotin_grad_coeff_needs_no_mask_at_the_origin(alpha):
+    """alpha/2 - 1 > 0, so t ** (alpha/2 - 1) is the origin-masked power
+    bit for bit on every t >= 0, 0 and inf included."""
+    t = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf])
+    k = alpha / 2.0 - 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        masked = np.where(t > 0, np.where(t > 0, t, 1.0) ** k, 0.0)
+        got = make_potential("subbotin", 1, alpha=alpha).radial.grad_coeff(t)
+    assert got.tobytes() == masked.tobytes()
+
+
 # --- smallest Hessian eigenvalue -------------------------------------------
 
 def test_rho_minus_subbotin_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from logsob.perturbations import (
     psi_from_parts,
 )
 from logsob.potentials import make_custom_potential, make_potential
-from logsob.rng import BLOCK_PATHS
+from logsob import sde
+from logsob.rng import BLOCK_PATHS, step_normals
 from logsob.sde import (
     DIVERGENCE_RADIUS,
     Lane,
@@ -32,6 +34,7 @@ from logsob.sde import (
     payoff_weighted_terminal,
     simulate,
     simulate_lanes,
+    step_rows,
     tile_rows,
 )
 
@@ -161,6 +164,92 @@ def test_every_batch_field_is_independent_of_the_worker_count(n_paths, workers, 
             assert _same_bits(getattr(ref, field.name), getattr(batch, field.name)), field.name
 
 
+def _nan_beyond(edge):
+    """a = 2 + exp(-x^2) in d = 1, with its gradient and Laplacian NaN
+    wherever x > edge: paths reach it at different steps."""
+    def value(x):
+        return 2.0 + np.exp(-x[..., 0] ** 2)
+
+    def gradient(x):
+        return np.where(x > edge, np.nan, -2.0 * x * np.exp(-x ** 2))
+
+    def laplacian(x):
+        x1 = x[..., 0]
+        return np.where(x1 > edge, np.nan, (4.0 * x1 ** 2 - 2.0) * np.exp(-x1 ** 2))
+
+    return make_custom_perturbation(value, gradient, laplacian, dim=1)
+
+
+@pytest.mark.parametrize("case", ["lanes closed_form", "lanes point", "alpha=1000",
+                                  "nan later", "divergent"])
+def test_every_batch_field_is_independent_of_the_step_tile(case, monkeypatch):
+    """Stepping each block in tiles of 7 rows gives the bits of one tile per
+    block: every row goes through the same operations, the sup of
+    |grad a|/a included, and the per-tile shortcuts (every path alive, the
+    Hessian's A term vanishing, psi finite everywhere) move no bit."""
+    options = dict(track_stochastic_weight=True, checkpoint_times=(0.02, 0.05))
+    cfg = SdeConfig(dt=0.01, horizon=0.05, n_paths=250, seed=23, x0=(0.5, -0.5))
+    a = arctan_perturbation(0.4)
+    if case.startswith("lanes"):
+        p = _point_path_quartic(2) if case == "lanes point" else make_potential("double_well", 2,
+                                                                                 beta=0.2)
+        lanes = (Lane(cfg.x0, "plain", True), Lane(cfg.x0, "perturbed", True)) + _fd_lanes(cfg)
+    else:
+        # A = 998 t^498 underflows to 0 on the paths nearest the origin only
+        p = make_potential("subbotin", 2, alpha=1000.0)
+        if case == "nan later":
+            p, a = make_potential("subbotin", 1, alpha=4.0), _nan_beyond(0.4)
+            cfg = dataclasses.replace(cfg, x0=(0.3,))
+        elif case == "divergent":
+            p, a = make_potential("subbotin", 8, alpha=4.0), arctan_perturbation(0.5)
+            cfg = SdeConfig(dt=0.3, horizon=3.0, n_paths=250, seed=47, x0=(0.0,) * 8)
+            options["checkpoint_times"] = (1.5, 3.0)
+        lanes = (Lane(cfg.x0, "plain", True), Lane(cfg.x0, "perturbed", True))
+
+    def run(step_tile):
+        monkeypatch.setattr(sde, "STEP_TILE", step_tile)
+        return simulate_lanes(p, a, cfg, lanes, max_workers=1, **options)
+
+    tiled, whole = run(7 * cfg.dim), run(cfg.n_paths * cfg.dim)
+    assert step_rows(cfg.dim) == cfg.n_paths
+    for lane, ref, batch in zip(lanes, whole, tiled):
+        for field in dataclasses.fields(ref):
+            u, v = getattr(ref, field.name), getattr(batch, field.name)
+            # a NaN sup compares by its repr
+            assert _same_bits(u, v) or (isinstance(u, float) and repr(u) == repr(v)), \
+                (lane, field.name)
+    if case in ("nan later", "divergent"):
+        assert 0 < whole[1].n_divergent < cfg.n_paths
+
+
+@pytest.mark.parametrize("variant", ["plain", "perturbed"])
+def test_step_memory_does_not_grow_with_the_block(variant):
+    """At d = 32 on one worker, what a step allocates beside the batch and
+    one block of normals is tile-sized: a few MiB, where block-wide
+    temporaries took about 50 MiB."""
+    d = 32
+    p = make_potential("subbotin", d, alpha=4.0)
+    cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=BLOCK_PATHS + 1000, seed=3, x0=(0.1,) * d)
+    tracemalloc.start()
+    try:
+        batch = simulate(p, arctan_perturbation(0.4), cfg, variant=variant, max_workers=1,
+                         tangent=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.nbytes for v in (batch.x_t, batch.girsanov_log_weight, batch.psi_integral,
+                                    batch.divergent))
+    normals = BLOCK_PATHS * d * 8
+    # measured: 2.9 MiB plain, 4.7 MiB perturbed (numpy 2.4, d = 32)
+    assert peak - arrays - normals < 8 * 2**20
+
+
+def test_step_normals_fill_the_buffer_they_are_given():
+    out = np.empty((300, 3))
+    assert step_normals(5, 2, 7, 300, 3, out=out) is out
+    assert out.tobytes() == step_normals(5, 2, 7, 300, 3).tobytes()
+
+
 def test_empty_lane_tuple_is_rejected():
     p = make_potential("gaussian", 1, rho=1.0)
     cfg = SdeConfig(dt=0.1, horizon=0.2, n_paths=4, seed=0, x0=(0.0,))
@@ -195,8 +284,11 @@ def test_each_state_is_observed_once(variant, a, observations):
     simulate(p, a, cfg, variant=variant, max_workers=1, tangent=False,
              track_stochastic_weight=True, checkpoint_times=(cfg.horizon,))
 
+    # the first block steps in tiles of step_rows(2) rows, the second in one
+    tiles = [step_rows(2)] * (BLOCK_PATHS // step_rows(2))
+
     def per_block(count):
-        return [BLOCK_PATHS] * count + [7] * count
+        return tiles * count + [7] * count
 
     assert calls["gradient"] == per_block(cfg.n_steps + observations)
     assert calls["log_grad"] == per_block((cfg.n_steps + 1) * observations)

@@ -10,7 +10,11 @@ field of its stderr manifest and the file written by ``--emit-paths``
 (into a temporary directory).  An exception that escapes ``main`` is
 recorded by its type in place of the exit code.  Run it on two checkouts
 and compare the lines to see which commands changed their output; the
-manifest's timings are not digested.
+manifest's timings are not digested.  The first line names the Python and
+numpy versions.  ``tools/cli_digest.txt`` holds the committed output,
+which ``tests/test_digests.py`` compares line by line:
+
+    python3 tools/cli_digest.py > tools/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from logsob.cli import main  # noqa: E402
 
@@ -176,6 +183,8 @@ def run_one(argv: list, tmp: str) -> bytes:
 
 
 def main_digest() -> int:
+    # the digests are pinned per Python and numpy version
+    print(f"# python {platform.python_version()} numpy {np.__version__}")
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(COMMANDS):

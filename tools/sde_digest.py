@@ -9,7 +9,11 @@ all of them.  A batch's digest covers every field of its ``PathBatch``:
 the config, each array's dtype, shape and bytes, the checkpoint arrays
 by time, ``observed_sup_log_grad`` (by its repr, so a NaN shows) and
 ``g_condition_exceeded``.  Run it on two checkouts and compare the lines
-to see which batches changed a bit.
+to see which batches changed a bit.  The first line names the Python and
+numpy versions.  ``tools/sde_digest.txt`` holds the committed output,
+which ``tests/test_digests.py`` compares line by line:
+
+    python3 tools/sde_digest.py > tools/sde_digest.txt
 
 The grid crosses five potentials (four radial built-ins and the quartic
 without its radial profile, which takes the point evaluators) with
@@ -20,13 +24,17 @@ one without the tangent flow.  Then come a divergent config (dt 0.3,
 about 1% of the paths diverge), a custom perturbation whose psi and
 |grad a|/a are NaN at x0, a run of more than one path block, and
 representation-style lane sets: plain and perturbed lanes with the
-tangent flow beside the central-difference lanes.
+tangent flow beside the central-difference lanes.  Last come runs whose
+blocks span several step tiles: d = 8 with 20,000 paths, plain with the
+tangent flow and perturbed with checkpoints and stochastic weights; d = 3
+perturbed on 70,000 paths, two blocks; and a divergent d = 8 run at dt 0.3.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import platform
 import sys
 from functools import partial
 from pathlib import Path
@@ -122,6 +130,25 @@ def _cases() -> list:
         cases.append((f"lanes {pname} plain+J perturbed+J fd",
                       partial(simulate_lanes, p, a, cfg, lanes, checkpoint_times=(0.05, 0.1),
                               **full)))
+    # runs whose blocks span several step tiles
+    quartic8 = make_potential("subbotin", 8, alpha=4.0)
+    x08 = tuple(0.3 * (-1.0) ** i for i in range(8))
+    wide = SdeConfig(dt=0.01, horizon=0.1, n_paths=20000, seed=13, x0=x08)
+    for variant, options in (("plain", {}),
+                             ("perturbed", dict(checkpoint_times=(0.05, 0.1), **full))):
+        cases.append((f"tiles subbotin alpha=4 d=8 arctan 0.4 {variant} tangent=True "
+                      f"{sorted(options)}",
+                      partial(_one, quartic8, arctan_perturbation(0.4), wide, variant,
+                              **options)))
+    long3 = SdeConfig(dt=0.01, horizon=0.05, n_paths=70000, seed=19, x0=(0.2, -0.1, 0.4))
+    cases.append(("tiles double_well beta=0.2 d=3 arctan 5 perturbed, two blocks",
+                  partial(_one, make_potential("double_well", 3, beta=0.2),
+                          arctan_perturbation(5.0), long3, "perturbed", tangent=False,
+                          checkpoint_times=(0.02,), **full)))
+    divergent8 = SdeConfig(dt=0.3, horizon=3.0, n_paths=20000, seed=47, x0=(0.0,) * 8)
+    cases.append(("tiles divergent subbotin alpha=4 d=8 arctan 0.5 dt=0.3 perturbed",
+                  partial(_one, quartic8, arctan_perturbation(0.5), divergent8, "perturbed",
+                          tangent=False, checkpoint_times=(1.5, 3.0), **full)))
     return cases
 
 
@@ -144,6 +171,8 @@ def batch_digest(batch) -> str:
 
 
 def main_digest() -> int:
+    # the digests are pinned per Python and numpy version
+    print(f"# python {platform.python_version()} numpy {np.__version__}")
     total = hashlib.sha256()
     n = 0
     for label, run in CASES:
