@@ -278,7 +278,8 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     the block one tile of :func:`step_rows` rows at a time."""
     b, lo, hi = block
     d = cfg.dim
-    tiles = [(s, min(s + step_rows(d), hi)) for s in range(lo, hi, step_rows(d))]
+    n_rows = step_rows(d)
+    tiles = [(s, min(s + n_rows, hi)) for s in range(lo, hi, n_rows)]
     # scratch of the tangent update, one sub-tile each, shared by the lanes'
     # tiles and reused on every step
     work = None
