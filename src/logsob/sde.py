@@ -67,9 +67,11 @@ frozen, flagged divergent, and excluded from estimates.  :func:`_reduce`
 is the one place that turns path values into an :class:`EstimateResult`:
 mean, standard error and ``flags``, the reasons its evidence is not to be
 trusted.  An estimate is flagged when more than 0.1% of its paths
-diverged, or when its perturbed paths visited a |grad a|/a above the sup
-``a.sup_log_grad`` that the weights assume; the checks of
-:mod:`logsob.verify` fail on any flag.
+diverged, or when its perturbed live paths visited a |grad a|/a above the
+sup ``a.sup_log_grad`` that the weights assume, or a NaN or infinite one.
+The sup is taken over the finite values only, so a non-finite value, which
+is its own flag, hides none of them; the checks of :mod:`logsob.verify`
+fail on any flag.
 """
 
 from __future__ import annotations
@@ -161,7 +163,9 @@ class PathBatch:
     arrays recorded there.  ``j_t`` is None when the batch was simulated
     without the tangent flow, ``log_weight_stochastic`` when the Ito form
     was not tracked.  Unweighted paths (plain, or a = 1) keep every weight
-    array at zero: R = 1 exactly.
+    array at zero: R = 1 exactly.  ``observed_sup_log_grad`` is the sup of
+    the finite values of |grad a|/a that live weighted paths visited, and
+    ``nonfinite_log_grad`` tells whether they visited a NaN or infinite one.
     """
 
     cfg: SdeConfig
@@ -174,6 +178,7 @@ class PathBatch:
     log_weight_stochastic: Optional[np.ndarray]
     observed_sup_log_grad: float = 0.0
     g_condition_exceeded: bool = False
+    nonfinite_log_grad: bool = False
 
     def __len__(self):
         return self.x_t.shape[0]
@@ -262,7 +267,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
             lambda block: _run_block(p, a, cfg, block, step_of, batches, weighted),
             rng.block_ranges(n)))
     for batch, lane_observed in zip(batches, zip(*observed)):
-        batch.observed_sup_log_grad = max(lane_observed)
+        sups, nonfinite = zip(*lane_observed)
+        batch.observed_sup_log_grad, batch.nonfinite_log_grad = max(sups), any(nonfinite)
         # post hoc admissibility: the visited states must not reveal a larger
         # |grad a|/a than the norm the weights were justified with
         batch.g_condition_exceeded = (batch.observed_sup_log_grad
@@ -273,7 +279,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
 def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
     on rows lo:hi of its batch, which hold the initial state, and return
-    per lane the sup of |grad a|/a they visited.  Each step's increments
+    per lane the (sup, nonfinite) of the |grad a|/a they visited, as
+    :func:`_lane_steps` answers them.  Each step's increments
     are drawn once, into one buffer, and fed to every lane; a lane steps
     the block one tile of :func:`step_rows` rows at a time."""
     b, lo, hi = block
@@ -292,31 +299,27 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
         for tile in lane:
             next(tile)
     xi = np.empty((hi - lo, d))
-    observed = [0.0] * len(lanes)
-    for k in range(cfg.n_steps + 1):
-        if k < cfg.n_steps:
-            rng.step_normals(cfg.seed, b, k, hi - lo, d, out=xi)
-            parts = [xi[s - lo:e - lo] for s, e in tiles]
-        else:
-            # after the last step each tile observes its final state
-            parts = [None] * len(tiles)
-        for i, lane in enumerate(lanes):
-            # the block's sup at the state after k steps is the max over its
-            # tiles, NaN if any tile's is, as one max over its rows would
-            # give; the steps then fold in order
-            sup = float(np.max([tile.send(part) for tile, part in zip(lane, parts)]))
-            observed[i] = sup if k == 0 else max(observed[i], sup)
+    for k in range(cfg.n_steps):
+        rng.step_normals(cfg.seed, b, k, hi - lo, d, out=xi)
+        for lane in lanes:
+            for tile, (s, e) in zip(lane, tiles):
+                tile.send(xi[s - lo:e - lo])
+    # after the last step each tile observes its final state
+    observed = []
+    for lane in lanes:
+        sups, nonfinite = zip(*(tile.send(None) for tile in lane))
+        observed.append((max(sups), any(nonfinite)))
     return observed
 
 
 def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     """The paths of one lane on rows lo:hi of ``batch``, as a generator:
-    primed with ``next``, it takes each step's increments by ``send`` and
-    answers with the sup of |grad a|/a over its live paths at the state the
-    step started from (0 on unweighted paths); a further ``send(None)``
-    after the last step observes the final state, records the lane's
-    outputs and answers with that state's sup.  Between steps it holds
-    only its state."""
+    primed with ``next``, it takes each step's increments by ``send``; a
+    further ``send(None)`` after the last step observes the final state,
+    records the lane's outputs and answers with (sup, nonfinite): the sup
+    of the finite values of |grad a|/a over the states its live paths
+    visited (0 on unweighted paths), and whether they visited a NaN or
+    infinite one.  Between steps it holds only its state."""
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
 
@@ -336,17 +339,23 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
 
     def observe(k):
-        """(drift, lg, |lg|^2, weight, sup) at the state after k steps, lg as
-        in ``_step_fields``.  A weighted lane also takes the sup of |grad a|/a
-        on its live paths, freezes the paths whose psi is not finite, adds psi
+        """(drift, lg, |lg|^2, weight) at the state after k steps, lg as in
+        ``_step_fields``.  A weighted lane also folds the finite values of
+        |grad a|/a on its live paths into ``sup`` and any other into
+        ``nonfinite``, freezes the paths whose psi is not finite, adds psi
         to the trapezoid sum (half weight at k = 0; log_weight halves the last
         term) and, at a checkpoint step or the last one, takes log_weight()
         once as ``weight`` and records the checkpoints of step k from it."""
-        nonlocal alive, psi_sum, psi_last
-        weight, sup = None, 0.0
+        nonlocal alive, psi_sum, psi_last, sup, nonfinite
+        weight = None
         drift, lg, lg_norm2, psi_x = fields(x, t)
         if weighted:
-            sup = float(np.max(lg_norm2, where=alive, initial=0.0)) ** 0.5
+            top = float(np.max(lg_norm2, where=alive, initial=0.0))
+            if not math.isfinite(top):
+                # a NaN or an infinity must not hide the finite values
+                nonfinite = True
+                top = float(np.max(lg_norm2, where=alive & np.isfinite(lg_norm2), initial=0.0))
+            sup = max(sup, top ** 0.5)
             alive = alive & np.isfinite(psi_x)
             if alive.all():
                 psi_last = psi_x
@@ -358,12 +367,12 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
                 weight = log_weight()
             for tc in step_of.get(k, ()):
                 batch.checkpoint_log_weights[tc][lo:hi] = weight[0]
-        return drift, lg, lg_norm2, weight, sup
+        return drift, lg, lg_norm2, weight
 
-    sup = 0.0
+    sup, nonfinite = 0.0, False
     for k in range(cfg.n_steps):
-        xi = yield sup
-        drift, lg, lg_norm2, _, sup = observe(k)
+        xi = yield
+        drift, lg, lg_norm2, _ = observe(k)
         if track_stoch:
             if lg is None:
                 lg = np.asarray(a.log_grad(x), dtype=float)
@@ -386,12 +395,12 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         np.copyto(t, t_new, where=True if everyone else alive)
         # a lane waiting for the next step holds only its state
         del xi, drift, lg, lg_norm2, x_new, t_new
-    yield sup
+    yield
     if weighted:
-        _, _, _, weight, sup = observe(cfg.n_steps)
+        _, _, _, weight = observe(cfg.n_steps)
         batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = weight
     batch.divergent[lo:hi] = ~alive
-    yield sup
+    yield sup, nonfinite
 
 
 def _step_fields(p, a, weighted):
@@ -482,7 +491,7 @@ def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch
     that did not diverge, with the reasons to distrust them: more than
     MAX_DIVERGENT_FRACTION of the paths diverged, or the paths of ``batch``,
     simulated with ``a``, visited a |grad a|/a above the sup the weights
-    assume."""
+    assume, or one that is not finite."""
     valid = ~divergent
     n_valid = int(np.sum(valid))
     if n_valid < 2:
@@ -498,6 +507,8 @@ def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch
     if batch is not None and batch.g_condition_exceeded:
         flags.append(f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
                      f"sup {a.sup_log_grad.value:.6g} the weights assume")
+    if batch is not None and batch.nonfinite_log_grad:
+        flags.append("paths visited a state where |grad a|/a is not finite")
     return EstimateResult(mean=mean, std_error=se, n_valid=n_valid,
                           n_divergent=divergent.size - n_valid, flags=tuple(flags))
 

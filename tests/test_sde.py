@@ -180,6 +180,38 @@ def _nan_beyond(edge):
     return make_custom_perturbation(value, gradient, laplacian, dim=1)
 
 
+@pytest.mark.parametrize("x0, n_steps", [(0.3, 1), (0.3, 3), (0.3, 7), (0.5, 4)])
+def test_a_non_finite_log_grad_hides_no_finite_one_and_is_flagged(x0, n_steps):
+    """The sup of |grad a|/a is the largest finite value that live paths
+    visited, at any step, and a NaN is reported apart.  A frozen path keeps
+    a state it reached while live, so that sup is the largest finite value
+    over every state the lane evaluated.  From x0 = 0.5 every path meets a
+    NaN at step 0 and is frozen there."""
+    p = make_potential("subbotin", 1, alpha=4.0)
+    nan_a = _nan_beyond(0.4)
+    seen = []
+
+    def log_grad(x):
+        lg = nan_a.log_grad(x)
+        seen.append(np.abs(lg[:, 0]))
+        return lg
+
+    a = dataclasses.replace(nan_a, log_grad=log_grad)
+    cfg = SdeConfig(dt=0.01, horizon=0.01 * n_steps, n_paths=250, seed=23, x0=(x0,))
+    batch = simulate(p, a, cfg, variant="perturbed", tangent=False)
+    values = np.concatenate(seen)
+    finite = np.isfinite(values)
+    assert batch.observed_sup_log_grad == np.max(values[finite], initial=0.0)
+    assert batch.nonfinite_log_grad == (not finite.all())
+    if x0 == 0.5:
+        assert batch.divergent.all() and batch.observed_sup_log_grad == 0.0
+    elif n_steps == 7:
+        # live paths went past x = 0.4 and the sup still moved past its x0 value
+        assert batch.nonfinite_log_grad and batch.observed_sup_log_grad > values[0]
+        flags = sde._reduce(batch.weights(), batch.divergent, batch, a).flags
+        assert "paths visited a state where |grad a|/a is not finite" in flags
+
+
 @pytest.mark.parametrize("case", ["lanes closed_form", "lanes point", "alpha=1000",
                                   "nan later", "divergent"])
 def test_every_batch_field_is_independent_of_the_step_tile(case, monkeypatch):
