@@ -21,7 +21,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -41,7 +40,6 @@ from .errors import EstimationError, EvaluationError, ParameterError, Preconditi
 from .perturbations import parse_perturbation
 from .potentials import parse_potential
 from .sde import SdeConfig, SmoothFunction, _reduce, simulate
-from .threads import worker_count
 from .verify import (
     lsi_audit,
     martingale_check,
@@ -52,9 +50,8 @@ from .verify import (
     tilt_function,
 )
 
-# rows per chunk of --emit-paths: small, so that writing starts soon after
-# the first chunk's norms, and bounded, so that peak memory does not grow
-# with the path count
+# rows per chunk of --emit-paths, so that the formatted text held at once
+# does not grow with the path count
 EMIT_ROWS = 8192
 
 
@@ -218,8 +215,9 @@ def _cmd_simulate(args) -> tuple:
     a = parse_perturbation(args.perturbation)
     cfg = _sde_config(args, p.dim)
     variant = "perturbed" if a.family != "identity" else "plain"
-    # the tangent flow feeds only the j_norm column of --emit-paths
-    batch = simulate(p, a, cfg, variant=variant, tangent=bool(args.emit_paths))
+    # the tangent flow feeds only the j_norm column of --emit-paths, which
+    # reads its norm and never J itself
+    batch = simulate(p, a, cfg, variant=variant, tangent="norm" if args.emit_paths else False)
     # fewer than two valid paths have no mean and standard error: _reduce
     # raises EstimationError, and the run exits 1.  Only the weight's
     # standard error is printed; the other means are those of _reduce.
@@ -244,23 +242,18 @@ def _cmd_simulate(args) -> tuple:
 
 
 def _write_paths(path: str, batch) -> None:
-    """Per-path CSV (id, X_T, log R, spectral norm of J), EMIT_ROWS rows at
-    a time.  Worker threads compute the norms (numpy's batched SVD releases
-    the GIL) while the main thread formats the rows they are done with."""
+    """Per-path CSV (id, X_T, log R, spectral norm of J_T), EMIT_ROWS rows
+    at a time.  The norms are those of ``batch.j_norm``, which the path
+    tiles took as they finished, so the batch never holds J itself."""
     n, d = batch.x_t.shape
     header = ["path_id"] + [f"x_t_{i}" for i in range(d)] + ["log_r", "j_norm"]
     row = "%d" + ",%.17g" * (d + 2) + "\n"
-    chunks = [(lo, min(lo + EMIT_ROWS, n)) for lo in range(0, n, EMIT_ROWS)]
-
-    def j_norm(chunk):
-        lo, hi = chunk
-        return np.linalg.norm(batch.j_t[lo:hi], ord=2, axis=(1, 2))
-
-    with open(path, "w") as fh, ThreadPoolExecutor(worker_count()) as pool:
+    with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for (lo, hi), norms in zip(chunks, pool.map(j_norm, chunks)):
+        for lo in range(0, n, EMIT_ROWS):
+            hi = min(lo + EMIT_ROWS, n)
             cols = np.column_stack([np.arange(lo, hi), batch.x_t[lo:hi],
-                                    batch.girsanov_log_weight[lo:hi], norms])
+                                    batch.girsanov_log_weight[lo:hi], batch.j_norm[lo:hi]])
             fh.write(row * (hi - lo) % tuple(cols.ravel().tolist()))
 
 

@@ -38,7 +38,7 @@ of (seed, path block, step) through the Philox streams of
 share their Brownian increments (common random numbers).
 
 Lanes: :func:`simulate_lanes` integrates several runs on one config, each
-a :class:`Lane` with its own x0, variant and tangent flag.  Every block
+a :class:`Lane` with its own x0, variant and tangent mode.  Every tile
 draws each step's increments once and steps every lane with them through
 the same step body, so each lane is bit-identical to a separate
 :func:`simulate` of it; :func:`simulate` is the one-lane call.  Each lane
@@ -48,18 +48,26 @@ start of each step, and a weighted lane observes its final state once
 more, for its weight.  Between steps a lane holds only its state (x, |x|^2,
 J, and on weighted lanes the running weight), never a step's temporaries.
 
-Tiles: each lane steps a block in row tiles of :func:`step_rows` rows
-(``STEP_TILE`` entries, 512 kB, per (rows, d) array), one generator per
-tile, so a step's temporaries (the drift, psi_a, the new state) do not
-grow with the block.  The block draws each step's normals in one call into
-one buffer, and each tile reads its rows of it.  Within a tile the tangent
-update runs on sub-tiles of :func:`tile_rows` rows (1 MB of J,
-``TANGENT_TILE`` entries) through two scratch arrays that the block's
-lanes share, and a potential without a radial profile builds its Hessian
-one sub-tile at a time.  The operations on each row are those of a
-block-wide pass, bit for bit; the shortcuts taken when every path is
-alive or when the Hessian's A term vanishes are decided per tile, and
-move no bit.
+Tiles: a block runs tile-major, in row tiles of :func:`step_rows` rows
+(``STEP_TILE`` entries, 512 kB, per (rows, d) array): each tile runs every
+step of every lane before the next tile starts, so the block holds one
+tile of normals, one tile of lane state and one tile of a step's
+temporaries (the drift, psi_a, the new state), none of which grows with
+the block.  A tile's step-k increments are the next rows of the (seed,
+block, k) stream: when a block has more than one tile it keeps, per step,
+the stream position where the previous tile's draw stopped (72 B, see
+:func:`logsob.rng.stream_positions`), and every draw is that of one
+block-wide draw, bit for bit.  A lane with ``tangent="norm"`` integrates
+J in an array of the tile's own and, after the tile's last step, keeps
+only its spectral norm in ``PathBatch.j_norm``, so no (n, d, d) array
+exists.  Within a tile the tangent update runs on sub-tiles of
+:func:`tile_rows` rows (1 MB of J, ``TANGENT_TILE`` entries) through two
+scratch arrays that the lanes share, and a potential without a radial
+profile builds its Hessian one sub-tile at a time.  The operations on each
+row are those of a block-wide pass, bit for bit; the shortcuts taken when
+every path is alive or when the Hessian's A term vanishes are decided per
+tile, and move no bit.  The sup of |grad a|/a is folded per tile and then
+over the tiles, in any order, since it is taken over finite values only.
 
 A path whose next state fails |x|^2 <= 1e16 (as a NaN or an infinite
 coordinate does), or whose psi_a turns non-finite on a weighted path, is
@@ -80,7 +88,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -161,8 +169,10 @@ class PathBatch:
 
     ``checkpoint_log_weights`` maps requested times to the log-weight
     arrays recorded there.  ``j_t`` is None when the batch was simulated
-    without the tangent flow, ``log_weight_stochastic`` when the Ito form
-    was not tracked.  Unweighted paths (plain, or a = 1) keep every weight
+    without the tangent flow or with ``tangent="norm"``, ``j_norm`` (the
+    spectral norm of each path's J_T) unless it was simulated with
+    ``tangent="norm"``, and ``log_weight_stochastic`` when the Ito form was
+    not tracked.  Unweighted paths (plain, or a = 1) keep every weight
     array at zero: R = 1 exactly.  ``observed_sup_log_grad`` is the sup of
     the finite values of |grad a|/a that live weighted paths visited, and
     ``nonfinite_log_grad`` tells whether they visited a NaN or infinite one.
@@ -171,6 +181,7 @@ class PathBatch:
     cfg: SdeConfig
     x_t: np.ndarray
     j_t: Optional[np.ndarray]
+    j_norm: Optional[np.ndarray]
     girsanov_log_weight: np.ndarray
     psi_integral: np.ndarray
     divergent: np.ndarray
@@ -193,24 +204,28 @@ class PathBatch:
 
 class Lane(NamedTuple):
     """One run of :func:`simulate_lanes`: its initial state, its variant
-    ("plain" or "perturbed") and whether it integrates the tangent flow."""
+    ("plain" or "perturbed") and whether it integrates the tangent flow:
+    True keeps J_T, "norm" only its spectral norm, False neither."""
 
     x0: tuple
     variant: str
-    tangent: bool
+    tangent: Union[bool, str]
 
 
 def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plain",
              track_stochastic_weight: bool = False,
              checkpoint_times: Sequence[float] = (),
-             max_workers: Optional[int] = None, tangent: bool = True) -> PathBatch:
+             max_workers: Optional[int] = None,
+             tangent: Union[bool, str] = True) -> PathBatch:
     """Run all paths of ``cfg`` and return their terminal records: the
     one-lane call of :func:`simulate_lanes`.
 
     The path blocks run on ``max_workers`` threads (default
     :func:`~logsob.threads.worker_count`).  With ``tangent=False`` the
-    tangent flow is not integrated and the batch's ``j_t`` is None; every
-    other output is bit-identical.
+    tangent flow is not integrated and the batch's ``j_t`` is None; with
+    ``tangent="norm"`` each tile integrates J in an array of its own and
+    keeps only ``j_norm``, the spectral norm of each path's J_T, bit-equal
+    to the norm of ``j_t``.  Every other output is bit-identical.
     """
     (batch,) = simulate_lanes(p, a, cfg, (Lane(cfg.x0, variant, tangent),),
                               track_stochastic_weight, checkpoint_times, max_workers)
@@ -235,6 +250,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     for lane in lanes:
         if lane.variant not in ("plain", "perturbed"):
             raise ParameterError("variant must be 'plain' or 'perturbed'")
+        if lane.tangent not in (True, False, "norm"):
+            raise ParameterError("tangent must be True, False or 'norm'")
     lane_cfgs = [dataclasses.replace(cfg, x0=lane.x0) for lane in lanes]
     for lane_cfg in lane_cfgs:
         if lane_cfg.dim != p.dim:
@@ -254,7 +271,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     batches = tuple(PathBatch(
         cfg=lane_cfg,
         x_t=np.tile(np.asarray(lane_cfg.x0, dtype=float), (n, 1)),
-        j_t=np.tile(np.eye(d), (n, 1, 1)) if lane.tangent else None,
+        j_t=np.tile(np.eye(d), (n, 1, 1)) if lane.tangent and lane.tangent != "norm" else None,
+        j_norm=np.empty(n) if lane.tangent == "norm" else None,
         girsanov_log_weight=np.zeros(n),
         psi_integral=np.zeros(n),
         divergent=np.zeros(n, dtype=bool),
@@ -280,35 +298,40 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
     on rows lo:hi of its batch, which hold the initial state, and return
     per lane the (sup, nonfinite) of the |grad a|/a they visited, as
-    :func:`_lane_steps` answers them.  Each step's increments
-    are drawn once, into one buffer, and fed to every lane; a lane steps
-    the block one tile of :func:`step_rows` rows at a time."""
+    :func:`_lane_steps` answers them.  The block runs in row tiles of
+    :func:`step_rows` rows, every step of a tile before the next tile;
+    each step's increments for the tile are drawn once, into one buffer,
+    and fed to every lane."""
     b, lo, hi = block
     d = cfg.dim
-    n_rows = step_rows(d)
-    tiles = [(s, min(s + n_rows, hi)) for s in range(lo, hi, n_rows)]
-    # scratch of the tangent update, one sub-tile each, shared by the lanes'
-    # tiles and reused on every step
+    n_rows = min(hi - lo, step_rows(d))
+    # with several tiles, a step's draw for one tile resumes that step's
+    # stream where the previous tile's draw stopped
+    positions = (rng.stream_positions(cfg.n_steps) if hi - lo > n_rows
+                 else [None] * cfg.n_steps)
+    # scratch of the tangent update, one sub-tile each, shared by the lanes
+    # and reused on every step of every tile
     work = None
-    if any(batch.j_t is not None for batch in batches):
-        rows = min(hi - lo, tile_rows(d))
+    if any(batch.j_t is not None or batch.j_norm is not None for batch in batches):
+        rows = min(n_rows, tile_rows(d))
         work = (np.empty((rows, d, d)), np.empty((rows, d, d)))
-    lanes = [[_lane_steps(p, a, cfg, w, batch, s, e, step_of, work) for s, e in tiles]
-             for batch, w in zip(batches, weighted)]
-    for lane in lanes:
-        for tile in lane:
-            next(tile)
-    xi = np.empty((hi - lo, d))
-    for k in range(cfg.n_steps):
-        rng.step_normals(cfg.seed, b, k, hi - lo, d, out=xi)
+    buffer = np.empty((n_rows, d))
+    observed = [(0.0, False)] * len(batches)
+    for s in range(lo, hi, n_rows):
+        e = min(s + n_rows, hi)
+        lanes = [_lane_steps(p, a, cfg, w, batch, s, e, step_of, work)
+                 for batch, w in zip(batches, weighted)]
         for lane in lanes:
-            for tile, (s, e) in zip(lane, tiles):
-                tile.send(xi[s - lo:e - lo])
-    # after the last step each tile observes its final state
-    observed = []
-    for lane in lanes:
-        sups, nonfinite = zip(*(tile.send(None) for tile in lane))
-        observed.append((max(sups), any(nonfinite)))
+            next(lane)
+        xi = buffer[:e - s]
+        for k in range(cfg.n_steps):
+            rng.step_normals(cfg.seed, b, k, e - s, d, out=xi, position=positions[k])
+            for lane in lanes:
+                lane.send(xi)
+        # after the last step each lane observes its final state
+        observed = [(max(sup, tile_sup), nonfinite or tile_nonfinite)
+                    for (sup, nonfinite), (tile_sup, tile_nonfinite)
+                    in zip(observed, [lane.send(None) for lane in lanes])]
     return observed
 
 
@@ -326,6 +349,9 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     x = batch.x_t[lo:hi]
     t = np.einsum("ni,ni->n", x, x)
     j = None if batch.j_t is None else batch.j_t[lo:hi]
+    if batch.j_norm is not None:
+        # J of a lane that keeps only its norm lives as long as the tile
+        j = np.tile(np.eye(cfg.dim), (hi - lo, 1, 1))
     alive = np.ones(hi - lo, dtype=bool)
     fields = _step_fields(p, a, weighted)
     if weighted:
@@ -400,6 +426,8 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         _, _, _, weight = observe(cfg.n_steps)
         batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = weight
     batch.divergent[lo:hi] = ~alive
+    if batch.j_norm is not None:
+        batch.j_norm[lo:hi] = np.linalg.norm(j, 2, axis=(1, 2))
     yield sup, nonfinite
 
 
@@ -538,7 +566,8 @@ def payoff_weighted_terminal(f: SmoothFunction):
 
 def _tangent_gradient(f: SmoothFunction, batch: PathBatch) -> np.ndarray:
     if batch.j_t is None:
-        raise ParameterError("batch was simulated without the tangent flow (tangent=False)")
+        raise ParameterError("batch holds no tangent flow (simulated with tangent=False or "
+                             "'norm')")
     return np.einsum("nij,nj->ni", batch.j_t, np.asarray(f.gradient(batch.x_t), dtype=float))
 
 

@@ -16,7 +16,7 @@ from logsob.perturbations import (
 )
 from logsob.potentials import make_custom_potential, make_potential
 from logsob import sde
-from logsob.rng import BLOCK_PATHS, step_normals
+from logsob.rng import BLOCK_PATHS, step_normals, stream_positions
 from logsob.sde import (
     DIVERGENCE_RADIUS,
     Lane,
@@ -127,7 +127,7 @@ def _point_path_quartic(d):
 # a lane is (x0, variant, tangent); x0 index 0 is the config's own x0 and
 # 1..4 are the central-difference shifts of _fd_lanes
 _LANES = st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["plain", "perturbed"]),
-                            st.booleans()), min_size=1, max_size=3)
+                            st.sampled_from([True, False, "norm"])), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -237,6 +237,7 @@ def test_every_batch_field_is_independent_of_the_step_tile(case, monkeypatch):
             cfg = SdeConfig(dt=0.3, horizon=3.0, n_paths=250, seed=47, x0=(0.0,) * 8)
             options["checkpoint_times"] = (1.5, 3.0)
         lanes = (Lane(cfg.x0, "plain", True), Lane(cfg.x0, "perturbed", True))
+    lanes += (Lane(cfg.x0, "perturbed", "norm"),)
 
     def run(step_tile):
         monkeypatch.setattr(sde, "STEP_TILE", step_tile)
@@ -257,8 +258,8 @@ def test_every_batch_field_is_independent_of_the_step_tile(case, monkeypatch):
 @pytest.mark.parametrize("variant", ["plain", "perturbed"])
 def test_step_memory_does_not_grow_with_the_block(variant):
     """At d = 32 on one worker, what a step allocates beside the batch and
-    one block of normals is tile-sized: a few MiB, where block-wide
-    temporaries took about 50 MiB."""
+    one tile of normals is tile-sized: a few MiB, where block-wide
+    temporaries took about 50 MiB and block-wide normals 16 MiB."""
     d = 32
     p = make_potential("subbotin", d, alpha=4.0)
     cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=BLOCK_PATHS + 1000, seed=3, x0=(0.1,) * d)
@@ -271,9 +272,58 @@ def test_step_memory_does_not_grow_with_the_block(variant):
         tracemalloc.stop()
     arrays = sum(v.nbytes for v in (batch.x_t, batch.girsanov_log_weight, batch.psi_integral,
                                     batch.divergent))
-    normals = BLOCK_PATHS * d * 8
-    # measured: 2.9 MiB plain, 4.7 MiB perturbed (numpy 2.4, d = 32)
+    normals = step_rows(d) * d * 8
+    # measured: 2.2 MiB plain, 1.6 MiB perturbed (numpy 2.4, d = 32)
     assert peak - arrays - normals < 8 * 2**20
+
+
+def test_a_norm_lane_never_holds_the_tangent_flow_of_the_batch():
+    """Two blocks at d = 8 on one worker with tangent="norm": beside the
+    batch's arrays the run holds one tile's J and its scratch, far below
+    the n d^2 doubles of J_T."""
+    d = 8
+    p = make_potential("subbotin", d, alpha=4.0)
+    cfg = SdeConfig(dt=0.01, horizon=0.03, n_paths=BLOCK_PATHS + 1000, seed=3, x0=(0.1,) * d)
+    tracemalloc.start()
+    try:
+        batch = simulate(p, arctan_perturbation(0.4), cfg, variant="perturbed", max_workers=1,
+                         tangent="norm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.j_t is None and batch.j_norm.shape == (cfg.n_paths,)
+    arrays = sum(v.nbytes for v in (batch.x_t, batch.j_norm, batch.girsanov_log_weight,
+                                    batch.psi_integral, batch.divergent))
+    # measured 8.3 MiB (numpy 2.4): one tile's J (4 MiB), the scratch of its
+    # update (2 MiB) and the step's temporaries; J_T would be 32.5 MiB
+    assert peak - arrays < 12 * 2**20 < cfg.n_paths * d * d * 8 // 2
+
+
+@pytest.mark.parametrize("case", ["tiles", "divergent"])
+def test_a_norm_lane_keeps_the_norm_of_the_tangent_flow_bit_for_bit(case):
+    """tangent="norm" gives the spectral norm of the J_T that tangent=True
+    keeps, bit for bit, and every other field of the batch unchanged; the
+    d = 8 blocks span three step tiles, and at dt = 0.3 about 90% of the
+    paths diverge and keep the J of their last step."""
+    p = make_potential("subbotin", 8, alpha=4.0)
+    if case == "tiles":
+        cfg = SdeConfig(dt=0.01, horizon=0.05, n_paths=20000, seed=13,
+                        x0=tuple(0.3 * (-1.0) ** i for i in range(8)))
+    else:
+        cfg = SdeConfig(dt=0.3, horizon=3.0, n_paths=20000, seed=47, x0=(0.0,) * 8)
+    assert cfg.n_paths > 2 * step_rows(8)
+    lanes = tuple(Lane(cfg.x0, variant, tangent) for variant in ("plain", "perturbed")
+                  for tangent in (True, "norm"))
+    batches = simulate_lanes(p, arctan_perturbation(0.5), cfg, lanes,
+                             track_stochastic_weight=True, checkpoint_times=(cfg.horizon,))
+    for full, norm in (batches[:2], batches[2:]):
+        assert norm.j_t is None and full.j_norm is None
+        assert _same_bits(norm.j_norm, np.linalg.norm(full.j_t, 2, axis=(1, 2)))
+        for field in dataclasses.fields(full):
+            if field.name not in ("j_t", "j_norm"):
+                assert _same_bits(getattr(full, field.name), getattr(norm, field.name)), field.name
+    if case == "divergent":
+        assert 0.5 < batches[3].n_divergent / cfg.n_paths < 1
 
 
 def test_step_normals_fill_the_buffer_they_are_given():
@@ -282,11 +332,31 @@ def test_step_normals_fill_the_buffer_they_are_given():
     assert out.tobytes() == step_normals(5, 2, 7, 300, 3).tobytes()
 
 
+@pytest.mark.parametrize("d, tiles", [(1, (65536,)), (1, (1, 40000, 25535)), (3, (7, 30000, 35000)),
+                                      (8, (8192,) * 8), (8, (5000, 1, 8192, 3000))])
+def test_resumed_tile_draws_are_the_block_draw(d, tiles):
+    """A block's rows drawn one tile at a time, every step of a tile before
+    the next tile, each draw resuming its step's stream from the position
+    the previous tile saved, are the rows of one block-wide draw per step."""
+    steps = 3
+    positions = stream_positions(steps)
+    drawn = [[] for _ in range(steps)]
+    for rows in tiles:
+        out = np.empty((rows, d))
+        for k in range(steps):
+            step_normals(29, 1, k, rows, d, out=out, position=positions[k])
+            drawn[k].append(out.copy())
+    for k in range(steps):
+        assert np.concatenate(drawn[k]).tobytes() == step_normals(29, 1, k, sum(tiles), d).tobytes()
+
+
 def test_empty_lane_tuple_is_rejected():
     p = make_potential("gaussian", 1, rho=1.0)
     cfg = SdeConfig(dt=0.1, horizon=0.2, n_paths=4, seed=0, x0=(0.0,))
     with pytest.raises(ParameterError, match="at least one lane"):
         simulate_lanes(p, identity_perturbation(), cfg, ())
+    with pytest.raises(ParameterError, match="tangent must be"):
+        simulate(p, identity_perturbation(), cfg, tangent="spectral")
 
 
 @pytest.mark.parametrize("variant, a, observations", [

@@ -8,7 +8,8 @@ simulates every case of :data:`CASES` through ``logsob.sde.simulate`` or
 all of them.  A batch's digest covers every field of its ``PathBatch``:
 the config, each array's dtype, shape and bytes, the checkpoint arrays
 by time, ``observed_sup_log_grad`` (by its repr, so a NaN shows),
-``g_condition_exceeded`` and ``nonfinite_log_grad`` when it is set.  Run it on two checkouts and compare the lines
+``g_condition_exceeded``, and ``j_norm`` and ``nonfinite_log_grad`` when
+they are set.  Run it on two checkouts and compare the lines
 to see which batches changed a bit.  The first line names the Python and
 numpy versions.  ``tools/sde_digest.txt`` holds the committed output,
 which ``tests/test_digests.py`` compares line by line:
@@ -28,6 +29,9 @@ tangent flow beside the central-difference lanes.  Last come runs whose
 blocks span several step tiles: d = 8 with 20,000 paths, plain with the
 tangent flow and perturbed with checkpoints and stochastic weights; d = 3
 perturbed on 70,000 paths, two blocks; and a divergent d = 8 run at dt 0.3.
+Lanes that keep only the norm of J_T (``tangent="norm"``) follow: d = 8
+plain and perturbed over several tiles, d = 3 on two blocks, and divergent
+runs at d = 1 and d = 8.
 """
 
 from __future__ import annotations
@@ -149,6 +153,21 @@ def _cases() -> list:
     cases.append(("tiles divergent subbotin alpha=4 d=8 arctan 0.5 dt=0.3 perturbed",
                   partial(_one, quartic8, arctan_perturbation(0.5), divergent8, "perturbed",
                           tangent=False, checkpoint_times=(1.5, 3.0), **full)))
+    # lanes that keep only the norm of J_T: multi-tile d = 8, d = 3 on two
+    # blocks, and divergent runs at d = 1 and d = 8
+    for variant, options in (("plain", {}),
+                             ("perturbed", dict(checkpoint_times=(0.05, 0.1), **full))):
+        cases.append((f"norm subbotin alpha=4 d=8 arctan 0.4 {variant} {sorted(options)}",
+                      partial(_one, quartic8, arctan_perturbation(0.4), wide, variant,
+                              tangent="norm", **options)))
+    cases.append(("norm double_well beta=0.2 d=3 arctan 5 perturbed, two blocks",
+                  partial(_one, make_potential("double_well", 3, beta=0.2),
+                          arctan_perturbation(5.0), long3, "perturbed", tangent="norm",
+                          checkpoint_times=(0.02,), **full)))
+    for label, p, cfg in (("d=1", quartic1, divergent), ("d=8", quartic8, divergent8)):
+        cases.append((f"norm divergent subbotin alpha=4 {label} arctan 0.5 dt=0.3 perturbed",
+                      partial(_one, p, arctan_perturbation(0.5), cfg, "perturbed",
+                              tangent="norm", checkpoint_times=(1.5, 3.0), **full)))
     return cases
 
 
@@ -158,7 +177,7 @@ CASES = _cases()
 # fields added to PathBatch after these digests were first pinned count
 # only where they differ from their default, so the batches that leave
 # them there keep their lines
-LATER_FIELDS = {"nonfinite_log_grad": False}
+LATER_FIELDS = {"j_norm": None, "nonfinite_log_grad": False}
 
 
 def batch_digest(batch) -> str:
