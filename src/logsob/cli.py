@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -366,6 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it takes
+    longer than most commands, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 _COMMANDS = {
     "bound": _cmd_bound,
     "certify": _cmd_certify,
@@ -379,7 +387,7 @@ _COMMANDS = {
 def main(argv: Optional[list] = None) -> int:
     started = time.time()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

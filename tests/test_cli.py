@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import logsob
+from logsob import cli
 from logsob.bounds import BoundReport, Verdict
 from logsob.cli import EMIT_ROWS, _csv_cell, dumps, main
 from logsob.perturbations import parse_perturbation, render_perturbation
@@ -493,6 +494,26 @@ def test_simulate_deterministic_given_seed(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """main parses every call with one parser built once per process, and a
+    call sees none of an earlier call's options."""
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ["simulate", "--potential", "family=gaussian rho=1 dim=1",
+                "--perturbation", "perturbation=identity", "--t", "0.1", "--dt", "0.01",
+                "--paths", "64", "--seed", "3"]
+        code1, out1, _ = run(capsys, *argv, "--x0", "1")
+        code2, out2, err2 = run(capsys, *argv)
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    assert code1 == code2 == 0
+    assert json.loads(out1)["mean_x_t"] != json.loads(out2)["mean_x_t"]
+    assert "x0" not in json.loads(err2)["inputs"]
 
 
 def test_simulate_without_x0_starts_at_the_origin_of_the_potential(capsys):

@@ -1,6 +1,7 @@
 """Digest of the logsob command line's output over a fixed command list.
 
     python3 tools/cli_digest.py
+    python3 tools/cli_digest.py --show K
 
 Imports ``logsob`` from the ``src/`` of the checkout this file sits in and
 runs every command of :data:`COMMANDS` in-process through
@@ -15,10 +16,15 @@ numpy versions.  ``tools/cli_digest.txt`` holds the committed output,
 which ``tests/test_digests.py`` compares line by line:
 
     python3 tools/cli_digest.py > tools/cli_digest.txt
+
+With ``--show K`` it runs only command K (the index on its digest line)
+and prints the command, its exit status, its manifest error and its
+stdout, to see which digits of a moved line changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from logsob.cli import main  # noqa: E402
+from logsob import cli  # noqa: E402
 
 PERTURBATIONS = ("perturbation=identity", "perturbation=arctan eps=0.3",
                  "perturbation=arctan eps=5")
@@ -161,13 +167,14 @@ def _commands() -> list:
 COMMANDS = _commands()
 
 
-def run_one(argv: list, tmp: str) -> bytes:
-    """The digested record of one command."""
+def run_one(argv: list, tmp: str) -> list:
+    """The record of one command: its status, manifest error, stdout and
+    the text of each file it wrote."""
     argv = [a.replace("{tmp}", tmp) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            status = f"exit {main(argv)}"
+            status = f"exit {cli.main(argv)}"
         except Exception as exc:  # an escaping exception is part of the behaviour
             status = f"raised {type(exc).__name__}"
     manifest = next((ln for ln in reversed(err.getvalue().splitlines()) if ln.startswith("{")),
@@ -179,7 +186,7 @@ def run_one(argv: list, tmp: str) -> bytes:
         record.append(p.read_text() if p.exists() else "<missing>")
         if p.exists():
             p.unlink()
-    return "\n--\n".join(record).encode()
+    return record
 
 
 def main_digest() -> int:
@@ -188,12 +195,33 @@ def main_digest() -> int:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(COMMANDS):
-            digest = hashlib.sha256(run_one(argv, tmp)).hexdigest()
+            digest = hashlib.sha256("\n--\n".join(run_one(argv, tmp)).encode()).hexdigest()
             total.update(digest.encode())
             print(f"{digest}  {i:3d} {' '.join(argv)}", flush=True)
     print(f"{total.hexdigest()}  total ({len(COMMANDS)} commands)")
     return 0
 
 
+def show(k: int) -> int:
+    argv = COMMANDS[k]
+    with tempfile.TemporaryDirectory() as tmp:
+        status, error, out = run_one(argv, tmp)[:3]
+    print(f"{k:3d} {' '.join(argv)}\n{status}\nerror: {error or '(none)'}\n-- stdout\n{out}",
+          end="")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Digest of the logsob command line's output.")
+    ap.add_argument("--show", type=int, metavar="K",
+                    help="print command K's stdout and manifest error instead")
+    args = ap.parse_args(argv)
+    if args.show is None:
+        return main_digest()
+    if not 0 <= args.show < len(COMMANDS):
+        ap.error(f"--show takes a command index from 0 to {len(COMMANDS) - 1}")
+    return show(args.show)
+
+
 if __name__ == "__main__":
-    sys.exit(main_digest())
+    sys.exit(main())
