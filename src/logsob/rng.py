@@ -64,8 +64,9 @@ def step_normals(seed: int, block: int, step: int, n: int, dim: int,
     bits.state = state
     draws = gen.standard_normal((n, dim), out=out)
     state = bits.state
-    position[:4], position[4:8], position[8] = state["state"]["counter"], state["buffer"], \
-        state["buffer_pos"]
+    position[:4] = state["state"]["counter"]
+    position[4:8] = state["buffer"]
+    position[8] = state["buffer_pos"]
     return draws
 
 
