@@ -202,13 +202,12 @@ def main_digest() -> int:
     return 0
 
 
-def show(k: int) -> int:
+def show(k: int) -> None:
     argv = COMMANDS[k]
     with tempfile.TemporaryDirectory() as tmp:
         status, error, out = run_one(argv, tmp)[:3]
     print(f"{k:3d} {' '.join(argv)}\n{status}\nerror: {error or '(none)'}\n-- stdout\n{out}",
           end="")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -220,7 +219,8 @@ def main(argv=None) -> int:
         return main_digest()
     if not 0 <= args.show < len(COMMANDS):
         ap.error(f"--show takes a command index from 0 to {len(COMMANDS) - 1}")
-    return show(args.show)
+    show(args.show)
+    return 0
 
 
 if __name__ == "__main__":
