@@ -54,8 +54,8 @@ step of every lane before the next tile starts, so the block holds one
 tile of normals, one tile of lane state and one tile of a step's
 temporaries (the drift, psi_a, the new state), none of which grows with
 the block.  A tile's step-k increments are the next rows of the (seed,
-block, k) stream: when a block has more than one tile it keeps, per step,
-the stream position where the previous tile's draw stopped (72 B, see
+block, k) stream: the block keeps, per step, the stream position where
+the previous tile's draw stopped (72 B, see
 :func:`logsob.rng.stream_positions`), and every draw is that of one
 block-wide draw, bit for bit.  A lane with ``tangent="norm"`` integrates
 J in an array of the tile's own and, after the tile's last step, keeps
@@ -305,10 +305,7 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     b, lo, hi = block
     d = cfg.dim
     n_rows = min(hi - lo, step_rows(d))
-    # with several tiles, a step's draw for one tile resumes that step's
-    # stream where the previous tile's draw stopped
-    positions = (rng.stream_positions(cfg.n_steps) if hi - lo > n_rows
-                 else [None] * cfg.n_steps)
+    positions = rng.stream_positions(cfg.n_steps)
     # scratch of the tangent update, one sub-tile each, shared by the lanes
     # and reused on every step of every tile
     work = None
