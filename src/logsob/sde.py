@@ -66,8 +66,9 @@ scratch arrays that the lanes share, and a potential without a radial
 profile builds its Hessian one sub-tile at a time.  The operations on each
 row are those of a block-wide pass, bit for bit; the shortcuts taken when
 every path is alive or when the Hessian's A term vanishes are decided per
-tile, and move no bit.  The sup of |grad a|/a is folded per tile and then
-over the tiles, in any order, since it is taken over finite values only.
+tile, and move no bit.  Each tile answers its lanes' sup of |grad a|/a,
+and :func:`simulate_lanes` folds them once over every tile of every block,
+in any order, since the sup is taken over finite values only.
 
 A path whose next state fails |x|^2 <= 1e16 (as a NaN or an infinite
 coordinate does), or whose psi_a turns non-finite on a weighted path, is
@@ -85,7 +86,9 @@ fail on any flag.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -96,7 +99,6 @@ from . import rng
 from .errors import EstimationError, ParameterError
 from .perturbations import Perturbation, identity_perturbation, psi_from_parts, psi_radial_parts
 from .potentials import Potential
-from .threads import worker_count
 
 DIVERGENCE_RADIUS = 1e8
 MAX_DIVERGENT_FRACTION = 1e-3
@@ -106,6 +108,25 @@ FD_STEP = 1e-3
 TANGENT_TILE = 1 << 17
 # entries of one (rows, d) array of a step tile: 2**16 doubles, 512 kB
 STEP_TILE = 1 << 16
+DEFAULT_MAX_WORKERS = 4
+
+
+def worker_count() -> int:
+    """Threads that run the path blocks: ``LOGSOB_THREADS`` when it is a
+    positive integer, otherwise ``min(4, cpu_count)``.
+
+    A value that is not a positive integer is ignored rather than clamped,
+    so a typo falls back on the default instead of running single-threaded.
+    """
+    env = os.environ.get("LOGSOB_THREADS")
+    if env:
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
+        if n >= 1:
+            return n
+    return min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def tile_rows(d: int) -> int:
@@ -135,6 +156,8 @@ class SdeConfig:
             raise ParameterError("horizon / dt must be finite and below 2**32, the step key range")
         if self.n_paths < 1:
             raise ParameterError("n_paths must be positive")
+        if self.n_paths > rng.BLOCK_PATHS << 32:
+            raise ParameterError("n_paths must be at most 2**48, the block key range")
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
         if not all(math.isfinite(v) for v in x0):
             raise ParameterError("x0 must be finite")
@@ -204,7 +227,7 @@ class PathBatch:
 
 class Lane(NamedTuple):
     """One run of :func:`simulate_lanes`: its initial state, its variant
-    ("plain" or "perturbed") and whether it integrates the tangent flow:
+    ("plain" or "perturbed") and its tangent mode, True, False or "norm":
     True keeps J_T, "norm" only its spectral norm, False neither."""
 
     x0: tuple
@@ -221,7 +244,7 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
     one-lane call of :func:`simulate_lanes`.
 
     The path blocks run on ``max_workers`` threads (default
-    :func:`~logsob.threads.worker_count`).  With ``tangent=False`` the
+    :func:`worker_count`).  With ``tangent=False`` the
     tangent flow is not integrated and the batch's ``j_t`` is None; with
     ``tangent="norm"`` each tile integrates J in an array of its own and
     keeps only ``j_norm``, the spectral norm of each path's J_T, bit-equal
@@ -241,9 +264,9 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
 
     Each block draws its increments once per step and steps every lane
     with them, so each lane's batch is bit-identical to a :func:`simulate`
-    of ``cfg`` with the lane's x0, variant and tangent flag; its ``cfg``
-    carries the lane's x0.  Stochastic weights and checkpoints are
-    recorded on every weighted lane.
+    of ``cfg`` with the lane's x0, variant and tangent mode (True, False
+    or "norm"); its ``cfg`` carries the lane's x0.  Stochastic weights and
+    checkpoints are recorded on every weighted lane.
     """
     if not lanes:
         raise ParameterError("simulate_lanes needs at least one lane")
@@ -281,10 +304,11 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     ) for lane, lane_cfg in zip(lanes, lane_cfgs))
     weighted = [lane.variant == "perturbed" and a.family != "identity" for lane in lanes]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        observed = list(pool.map(
+        tiles = list(itertools.chain.from_iterable(pool.map(
             lambda block: _run_block(p, a, cfg, block, step_of, batches, weighted),
-            rng.block_ranges(n)))
-    for batch, lane_observed in zip(batches, zip(*observed)):
+            rng.block_ranges(n))))
+    # each lane's (sup, nonfinite) over every tile of every block
+    for batch, lane_observed in zip(batches, zip(*tiles)):
         sups, nonfinite = zip(*lane_observed)
         batch.observed_sup_log_grad, batch.nonfinite_log_grad = max(sups), any(nonfinite)
         # post hoc admissibility: the visited states must not reveal a larger
@@ -297,8 +321,8 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
 def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     """Integrate the paths of ``block`` = (b, lo, hi) of every lane in place
     on rows lo:hi of its batch, which hold the initial state, and return
-    per lane the (sup, nonfinite) of the |grad a|/a they visited, as
-    :func:`_lane_steps` answers them.  The block runs in row tiles of
+    per tile and lane the (sup, nonfinite) of the |grad a|/a they visited,
+    as :func:`_lane_steps` answers them.  The block runs in row tiles of
     :func:`step_rows` rows, every step of a tile before the next tile;
     each step's increments for the tile are drawn once, into one buffer,
     and fed to every lane."""
@@ -313,7 +337,7 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
         rows = min(n_rows, tile_rows(d))
         work = (np.empty((rows, d, d)), np.empty((rows, d, d)))
     buffer = np.empty((n_rows, d))
-    observed = [(0.0, False)] * len(batches)
+    observed = []
     for s in range(lo, hi, n_rows):
         e = min(s + n_rows, hi)
         lanes = [_lane_steps(p, a, cfg, w, batch, s, e, step_of, work)
@@ -322,13 +346,11 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
             next(lane)
         xi = buffer[:e - s]
         for k in range(cfg.n_steps):
-            rng.step_normals(cfg.seed, b, k, e - s, d, out=xi, position=positions[k])
+            rng.step_normals(cfg.seed, b, k, xi, positions[k])
             for lane in lanes:
                 lane.send(xi)
         # after the last step each lane observes its final state
-        observed = [(max(sup, tile_sup), nonfinite or tile_nonfinite)
-                    for (sup, nonfinite), (tile_sup, tile_nonfinite)
-                    in zip(observed, [lane.send(None) for lane in lanes])]
+        observed.append([lane.send(None) for lane in lanes])
     return observed
 
 
@@ -540,10 +562,13 @@ def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch
 
 def estimate_expectation(p: Potential, a: Perturbation, cfg: SdeConfig,
                          payoff: Callable[[PathBatch], np.ndarray],
-                         variant: str = "plain", tangent: bool = True) -> EstimateResult:
+                         variant: str = "plain",
+                         tangent: Union[bool, str] = True) -> EstimateResult:
     """Sample mean and standard error of a path functional.
 
-    Pass ``tangent=False`` when ``payoff`` does not read ``batch.j_t``.
+    ``tangent`` is the tangent mode of :func:`simulate`, True, False or
+    "norm": pass False when ``payoff`` reads neither ``batch.j_t`` nor
+    ``batch.j_norm``, and "norm" when it reads only ``batch.j_norm``.
     """
     batch = simulate(p, a, cfg, variant=variant, tangent=tangent)
     return _reduce(payoff(batch), batch.divergent, batch, a)

@@ -68,6 +68,11 @@ def test_config_validation():
         SdeConfig(dt=0.5, horizon=0.2, n_paths=1, seed=0, x0=(0.0,))
     with pytest.raises(ParameterError):
         SdeConfig(dt=0.1, horizon=1.0, n_paths=0, seed=0, x0=(0.0,))
+    # path counts whose last block index leaves the 32-bit block key range;
+    # the configs are only built, never simulated
+    with pytest.raises(ParameterError, match="n_paths"):
+        SdeConfig(dt=0.1, horizon=1.0, n_paths=2**48 + 1, seed=0, x0=(0.0,))
+    assert SdeConfig(dt=0.1, horizon=1.0, n_paths=2**48, seed=0, x0=(0.0,)).n_paths == 2**48
     # a non-finite horizon, and step counts outside the 32-bit step key range
     for dt, horizon in ((0.1, math.inf), (math.inf, math.inf), (1e-300, 1e300),
                         (1.0, 2.0**32), (0.5, 2.0**31)):
@@ -326,10 +331,17 @@ def test_a_norm_lane_keeps_the_norm_of_the_tangent_flow_bit_for_bit(case):
         assert 0.5 < batches[3].n_divergent / cfg.n_paths < 1
 
 
+def _philox_normals(seed, block, step, n, d):
+    """The first n x d standard normals of the (seed, block, step) stream,
+    drawn from Philox directly."""
+    key = np.array([seed, (block << 32) | step], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, d))
+
+
 def test_step_normals_fill_the_buffer_they_are_given():
     out = np.empty((300, 3))
-    assert step_normals(5, 2, 7, 300, 3, out=out) is out
-    assert out.tobytes() == step_normals(5, 2, 7, 300, 3).tobytes()
+    assert step_normals(5, 2, 7, out, stream_positions(1)[0]) is out
+    assert out.tobytes() == _philox_normals(5, 2, 7, 300, 3).tobytes()
 
 
 @pytest.mark.parametrize("d, tiles", [(1, (65536,)), (1, (1, 40000, 25535)), (3, (7, 30000, 35000)),
@@ -344,10 +356,10 @@ def test_resumed_tile_draws_are_the_block_draw(d, tiles):
     for rows in tiles:
         out = np.empty((rows, d))
         for k in range(steps):
-            step_normals(29, 1, k, rows, d, out=out, position=positions[k])
+            step_normals(29, 1, k, out, positions[k])
             drawn[k].append(out.copy())
     for k in range(steps):
-        assert np.concatenate(drawn[k]).tobytes() == step_normals(29, 1, k, sum(tiles), d).tobytes()
+        assert np.concatenate(drawn[k]).tobytes() == _philox_normals(29, 1, k, sum(tiles), d).tobytes()
 
 
 def test_empty_lane_tuple_is_rejected():
@@ -396,6 +408,33 @@ def test_each_state_is_observed_once(variant, a, observations):
     assert calls["log_grad"] == per_block((cfg.n_steps + 1) * observations)
     # log a at x0 and at X_T
     assert calls["value"] == per_block(2 * observations)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: 16)
+
+
+def test_env_value_wins(monkeypatch, cpus):
+    monkeypatch.setenv("LOGSOB_THREADS", "3")
+    assert sde.worker_count() == 3
+    monkeypatch.setenv("LOGSOB_THREADS", "32")
+    assert sde.worker_count() == 32
+
+
+def test_default_caps_cpu_count(monkeypatch, cpus):
+    monkeypatch.delenv("LOGSOB_THREADS", raising=False)
+    assert sde.worker_count() == 4
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+    assert sde.worker_count() == 2
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: None)
+    assert sde.worker_count() == 1
+
+
+@pytest.mark.parametrize("bad", ["", "four", "2.5", "0", "-3"])
+def test_bad_env_value_falls_back_on_default(monkeypatch, cpus, bad):
+    monkeypatch.setenv("LOGSOB_THREADS", bad)
+    assert sde.worker_count() == 4
 
 
 def test_worker_count_below_one_is_rejected():
