@@ -6,10 +6,12 @@ single JSON line (numpy warnings are listed in it, not printed), files are
 written only through --out / --emit-paths.
 
 Exit codes: 0 on success with all checks passing, 1 on precondition or
-validation failure (including a failed statistical check) and on an
-output file that cannot be written, 2 on usage errors.  All numbers are
-serialized with 17 significant digits; non-finite values appear as the
-strings "inf", "-inf", "nan" so the output stays valid JSON.
+validation failure (including a failed statistical check), on an output
+file that cannot be written and on arrays too large to allocate, 2 on
+usage errors.  All numbers are serialized with 17 significant digits;
+non-finite values appear as the strings "inf", "-inf", "nan" so the output
+stays valid JSON.  The manifest's ``inputs`` lists the options the command
+read.
 """
 
 from __future__ import annotations
@@ -374,6 +376,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# options a verify check never reads, which its manifest leaves out
+_UNREAD = {"audit": ("f", "t", "dt", "x0"), "martingale": ("f",)}
+
 _COMMANDS = {
     "bound": _cmd_bound,
     "certify": _cmd_certify,
@@ -391,9 +396,10 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    unread = ("command", *_UNREAD.get(getattr(args, "check", None), ()))
     manifest = {
         "command": args.command,
-        "inputs": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
+        "inputs": {k: v for k, v in vars(args).items() if k not in unread and v is not None},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "started": started,
@@ -416,7 +422,7 @@ def main(argv: Optional[list] = None) -> int:
             else:
                 print(text)
         except (ParameterError, PreconditionError, EstimationError, EvaluationError,
-                OSError) as exc:
+                OSError, MemoryError) as exc:
             error = f"{type(exc).__name__}: {exc}"
     manifest["warnings"] = list(dict.fromkeys(f"{w.category.__name__}: {w.message}"
                                               for w in caught))

@@ -665,6 +665,49 @@ def test_verify_martingale_ignores_the_function_option(capsys):
     assert out == reference
 
 
+@pytest.mark.parametrize("argv, read", [
+    (AUDIT + ("--f", "tanh", "--t", "0.5", "--x0", "1"),
+     {"check", "potential", "perturbation", "paths", "seed"}),
+    (("verify", "--check", "martingale", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
+      "--paths", "16", "--f", "tanh"),
+     {"check", "potential", "perturbation", "t", "dt", "paths", "seed"}),
+    (("verify", "--check", "representation", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
+      "--paths", "16"),
+     {"check", "potential", "perturbation", "f", "t", "dt", "paths", "seed"}),
+    (("simulate", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--paths", "16", "--dt", "0.5"),
+     {"potential", "perturbation", "t", "dt", "paths", "seed"}),
+], ids=["audit", "martingale", "representation", "simulate"])
+def test_manifest_inputs_are_the_options_the_command_read(capsys, argv, read):
+    # simulate records the defaults it reads (here --t); a verify check
+    # leaves out the options it never reads, given or defaulted
+    _, _, err = run(capsys, *argv)
+    assert set(json.loads(err.strip().splitlines()[-1])["inputs"]) == read
+
+
+def test_memory_error_exits_one_with_manifest(capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.3 PiB")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
+                         "--perturbation", "perturbation=identity", "--paths", "16")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "MemoryError: Unable to allocate 7.3 PiB"
+
+
+def test_path_count_above_the_block_key_range_exits_one(capsys):
+    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
+                         "--perturbation", "perturbation=identity",
+                         "--paths", "1000000000000000", "--dt", "1", "--t", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"].startswith("ParameterError: n_paths must be at most 2**48")
+
+
 # --- sample -------------------------------------------------------------------------
 
 def test_sample_csv_output(tmp_path, capsys):
