@@ -30,10 +30,11 @@ import numpy as np
 
 BLOCK_PATHS = 1 << 16
 
-# stream tags for sequential consumers; step indices of path streams are
-# below 2**32, tags sit above so the key spaces cannot collide
-TAG_SAMPLER = 1 << 33
-TAG_MALA = 2 << 33
+# stream tags for sequential consumers: the low word of each, the step half
+# of a path stream's key, is 2**32 - 1, a step index that no path stream
+# reaches (SdeConfig admits n_steps < 2**32), so the key spaces cannot collide
+TAG_SAMPLER = (1 << 32) - 1
+TAG_MALA = (2 << 32) - 1
 
 
 def stream(seed: int, word: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ from logsob.perturbations import (
     psi_from_parts,
 )
 from logsob.potentials import make_custom_potential, make_potential
-from logsob import sde
+from logsob import rng, sde
 from logsob.rng import BLOCK_PATHS, step_normals, stream_positions
 from logsob.sde import (
     DIVERGENCE_RADIUS,
@@ -342,6 +342,21 @@ def test_step_normals_fill_the_buffer_they_are_given():
     out = np.empty((300, 3))
     assert step_normals(5, 2, 7, out, stream_positions(1)[0]) is out
     assert out.tobytes() == _philox_normals(5, 2, 7, 300, 3).tobytes()
+
+
+def test_sampler_tags_lie_outside_every_admitted_path_stream_key():
+    """A path stream's key word is block << 32 | step.  The step half of
+    each tag is past the last step of the largest config SdeConfig admits,
+    so no sampler draws from a path stream."""
+    largest = SdeConfig(dt=1.0, horizon=2.0**32 - 1, n_paths=2**48, seed=0, x0=(0.0,))
+    assert (largest.n_paths - 1) // BLOCK_PATHS == 2**32 - 1
+    for tag in (rng.TAG_SAMPLER, rng.TAG_MALA):
+        assert 0 <= tag < 2**64 and tag & (2**32 - 1) > largest.n_steps - 1
+    assert rng.TAG_SAMPLER != rng.TAG_MALA
+    # the sampler stream used to be that of path block 2, step 0
+    out = np.empty((3, 1))
+    step_normals(7, 2, 0, out, stream_positions(1)[0])
+    assert rng.stream(7, rng.TAG_SAMPLER).standard_normal(3).tobytes() != out.tobytes()
 
 
 @pytest.mark.parametrize("d, tiles", [(1, (65536,)), (1, (1, 40000, 25535)), (3, (7, 30000, 35000)),
