@@ -118,15 +118,11 @@ def worker_count() -> int:
     A value that is not a positive integer is ignored rather than clamped,
     so a typo falls back on the default instead of running single-threaded.
     """
-    env = os.environ.get("LOGSOB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
+    try:
+        n = int(os.environ.get("LOGSOB_THREADS", ""))
+    except ValueError:
+        n = 0
+    return n if n >= 1 else min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def tile_rows(d: int) -> int:
@@ -154,10 +150,8 @@ class SdeConfig:
             raise ParameterError("horizon must be at least dt")
         if not (math.isfinite(self.horizon / self.dt) and self.n_steps < 1 << 32):
             raise ParameterError("horizon / dt must be finite and below 2**32, the step key range")
-        if self.n_paths < 1:
-            raise ParameterError("n_paths must be positive")
-        if self.n_paths > rng.BLOCK_PATHS << 32:
-            raise ParameterError("n_paths must be at most 2**48, the block key range")
+        if not 1 <= self.n_paths <= rng.BLOCK_PATHS << 32:
+            raise ParameterError("n_paths must be between 1 and 2**48, the block key range")
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
         if not all(math.isfinite(v) for v in x0):
             raise ParameterError("x0 must be finite")

@@ -705,7 +705,7 @@ def test_path_count_above_the_block_key_range_exits_one(capsys):
                          "--paths", "1000000000000000", "--dt", "1", "--t", "1")
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"].startswith("ParameterError: n_paths must be at most 2**48")
+    assert json.loads(err)["error"].startswith("ParameterError: n_paths must be between 1 and 2**48")
 
 
 # --- sample -------------------------------------------------------------------------
