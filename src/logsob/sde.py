@@ -86,7 +86,6 @@ fail on any flag.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -238,11 +237,11 @@ def simulate(p: Potential, a: Perturbation, cfg: SdeConfig, variant: str = "plai
     one-lane call of :func:`simulate_lanes`.
 
     The path blocks run on ``max_workers`` threads (default
-    :func:`worker_count`).  With ``tangent=False`` the
-    tangent flow is not integrated and the batch's ``j_t`` is None; with
-    ``tangent="norm"`` each tile integrates J in an array of its own and
-    keeps only ``j_norm``, the spectral norm of each path's J_T, bit-equal
-    to the norm of ``j_t``.  Every other output is bit-identical.
+    :func:`worker_count`).  With ``tangent=False`` the tangent flow is not
+    integrated and the batch's ``j_t`` is None; with ``tangent="norm"``
+    each tile integrates J in an array of its own and keeps only
+    ``j_norm``, the spectral norm of each path's J_T, bit-equal to the norm
+    of ``j_t``.  Every other output is bit-identical.
     """
     (batch,) = simulate_lanes(p, a, cfg, (Lane(cfg.x0, variant, tangent),),
                               track_stochastic_weight, checkpoint_times, max_workers)
@@ -298,9 +297,9 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
     ) for lane, lane_cfg in zip(lanes, lane_cfgs))
     weighted = [lane.variant == "perturbed" and a.family != "identity" for lane in lanes]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        tiles = list(itertools.chain.from_iterable(pool.map(
+        tiles = [tile for block in pool.map(
             lambda block: _run_block(p, a, cfg, block, step_of, batches, weighted),
-            rng.block_ranges(n))))
+            rng.block_ranges(n)) for tile in block]
     # each lane's (sup, nonfinite) over every tile of every block
     for batch, lane_observed in zip(batches, zip(*tiles)):
         sups, nonfinite = zip(*lane_observed)

@@ -216,6 +216,10 @@ def test_bound_bad_potential_exits_one(capsys):
     (("verify", "--check", "martingale", "--potential", "family=gaussian rho=1 dim=1",
       "--perturbation", "perturbation=identity", "--t", "1e300", "--dt", "1e-300",
       "--paths", "10"), "horizon"),
+    # more paths than the 32-bit block index reaches; the config is never simulated
+    (("simulate", "--potential", "family=gaussian rho=1 dim=1",
+      "--perturbation", "perturbation=identity", "--paths", "1000000000000000",
+      "--dt", "1", "--t", "1"), "2**48"),
 ])
 def test_malformed_number_exits_one_with_manifest(capsys, argv, token):
     code, out, err = run(capsys, *argv)
@@ -275,6 +279,21 @@ def test_sweep_envelope_violation_exits_one_with_manifest(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err)["error"]
     assert error.startswith("EvaluationError") and "exceeds envelope" in error
+
+
+def test_memory_error_exits_one_with_manifest(capsys, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.3 PiB")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
+                         "--perturbation", "perturbation=identity", "--paths", "16")
+    assert code == 1
+    assert out == ""
+    manifest = json.loads(err)
+    assert manifest["error"] == "MemoryError: Unable to allocate 7.3 PiB"
+    # simulate reads --t and --dt, so their defaults are inputs
+    assert manifest["inputs"]["t"] == 1.0 and manifest["inputs"]["dt"] == 1e-3
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -642,6 +661,8 @@ def test_verify_audit_ignores_the_sde_and_function_options(capsys):
     assert "error" not in json.loads(err)
     assert code == 0
     assert out == reference
+    # the manifest lists the options the audit read, given or defaulted
+    assert set(json.loads(err)["inputs"]) == {"check", "potential", "perturbation", "paths", "seed"}
 
 
 def test_verify_audit_on_one_sample_exits_one(capsys):
@@ -660,52 +681,11 @@ def test_verify_martingale_ignores_the_function_option(capsys):
             "--paths", "2000", "--seed", "5")
     code, reference, _ = run(capsys, *argv)
     assert code == 0
-    code, out, _ = run(capsys, *argv, "--f", "nosuch")
+    code, out, err = run(capsys, *argv, "--f", "nosuch")
     assert code == 0
     assert out == reference
-
-
-@pytest.mark.parametrize("argv, read", [
-    (AUDIT + ("--f", "tanh", "--t", "0.5", "--x0", "1"),
-     {"check", "potential", "perturbation", "paths", "seed"}),
-    (("verify", "--check", "martingale", "--potential", "family=gaussian rho=1 dim=1",
-      "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
-      "--paths", "16", "--f", "tanh"),
-     {"check", "potential", "perturbation", "t", "dt", "paths", "seed"}),
-    (("verify", "--check", "representation", "--potential", "family=gaussian rho=1 dim=1",
-      "--perturbation", "perturbation=identity", "--t", "0.02", "--dt", "0.01",
-      "--paths", "16"),
-     {"check", "potential", "perturbation", "f", "t", "dt", "paths", "seed"}),
-    (("simulate", "--potential", "family=gaussian rho=1 dim=1",
-      "--perturbation", "perturbation=identity", "--paths", "16", "--dt", "0.5"),
-     {"potential", "perturbation", "t", "dt", "paths", "seed"}),
-], ids=["audit", "martingale", "representation", "simulate"])
-def test_manifest_inputs_are_the_options_the_command_read(capsys, argv, read):
-    # simulate records the defaults it reads (here --t); a verify check
-    # leaves out the options it never reads, given or defaulted
-    _, _, err = run(capsys, *argv)
-    assert set(json.loads(err.strip().splitlines()[-1])["inputs"]) == read
-
-
-def test_memory_error_exits_one_with_manifest(capsys, monkeypatch):
-    def simulate(*args, **kwargs):
-        raise MemoryError("Unable to allocate 7.3 PiB")
-
-    monkeypatch.setattr(cli, "simulate", simulate)
-    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
-                         "--perturbation", "perturbation=identity", "--paths", "16")
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["error"] == "MemoryError: Unable to allocate 7.3 PiB"
-
-
-def test_path_count_above_the_block_key_range_exits_one(capsys):
-    code, out, err = run(capsys, "simulate", "--potential", "family=gaussian rho=1 dim=1",
-                         "--perturbation", "perturbation=identity",
-                         "--paths", "1000000000000000", "--dt", "1", "--t", "1")
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["error"].startswith("ParameterError: n_paths must be between 1 and 2**48")
+    assert set(json.loads(err)["inputs"]) == {"check", "potential", "perturbation", "t", "dt",
+                                              "paths", "seed"}
 
 
 # --- sample -------------------------------------------------------------------------
