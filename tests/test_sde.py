@@ -353,7 +353,7 @@ def test_sampler_tags_lie_outside_every_admitted_path_stream_key():
     for tag in (rng.TAG_SAMPLER, rng.TAG_MALA):
         assert 0 <= tag < 2**64 and tag & (2**32 - 1) > largest.n_steps - 1
     assert rng.TAG_SAMPLER != rng.TAG_MALA
-    # the sampler stream used to be that of path block 2, step 0
+    # a tag of 1 << 33 would be the key word of path block 2, step 0
     out = np.empty((3, 1))
     step_normals(7, 2, 0, out, stream_positions(1)[0])
     assert rng.stream(7, rng.TAG_SAMPLER).standard_normal(3).tobytes() != out.tobytes()
