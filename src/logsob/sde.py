@@ -317,8 +317,9 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     per tile and lane the (sup, nonfinite) of the |grad a|/a they visited,
     as :func:`_lane_steps` answers them.  The block runs in row tiles of
     :func:`step_rows` rows, every step of a tile before the next tile;
-    each step's increments for the tile are drawn once, into one buffer,
-    and fed to every lane."""
+    each step's increments for the tile are drawn once, into the one buffer
+    every lane of the tile was created with, and every lane then takes
+    that step."""
     b, lo, hi = block
     d = cfg.dim
     n_rows = min(hi - lo, step_rows(d))
@@ -333,28 +334,36 @@ def _run_block(p, a, cfg, block, step_of, batches, weighted) -> list:
     observed = []
     for s in range(lo, hi, n_rows):
         e = min(s + n_rows, hi)
-        lanes = [_lane_steps(p, a, cfg, w, batch, s, e, step_of, work)
-                 for batch, w in zip(batches, weighted)]
-        for lane in lanes:
-            next(lane)
         xi = buffer[:e - s]
+        lanes = [_lane_steps(p, a, cfg, w, batch, s, e, step_of, work, xi)
+                 for batch, w in zip(batches, weighted)]
         for k in range(cfg.n_steps):
             rng.step_normals(cfg.seed, b, k, xi, positions[k])
             for lane in lanes:
-                lane.send(xi)
+                next(lane)
         # after the last step each lane observes its final state
-        observed.append([lane.send(None) for lane in lanes])
+        observed.append([next(lane) for lane in lanes])
     return observed
 
 
-def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
-    """The paths of one lane on rows lo:hi of ``batch``, as a generator:
-    primed with ``next``, it takes each step's increments by ``send``; a
-    further ``send(None)`` after the last step observes the final state,
-    records the lane's outputs and answers with (sup, nonfinite): the sup
-    of the finite values of |grad a|/a over the states its live paths
-    visited (0 on unweighted paths), and whether they visited a NaN or
-    infinite one.  Between steps it holds only its state."""
+def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work, xi):
+    """The paths of one lane on rows lo:hi of ``batch``, as a generator.
+    Each ``next`` takes one step on the increments that ``xi``, the tile's
+    buffer, holds by then; the ``next`` after the last step observes the
+    final state, records the lane's outputs and answers with (sup,
+    nonfinite): the sup of the finite values of |grad a|/a over the states
+    its live paths visited (0 on unweighted paths), and whether they
+    visited a NaN or infinite one.  Between steps it holds only its state.
+
+    Pass k of the loop observes the state after k steps, then takes step
+    k + 1.  The observation evaluates the fields (drift, lg, |lg|^2, psi),
+    lg as in ``_step_fields``.  A weighted lane also folds the finite
+    values of |grad a|/a on its live paths into ``sup`` and any other into
+    ``nonfinite``, freezes the paths whose psi is not finite, adds psi to
+    the trapezoid sum (half weight at k = 0, and the last term is halved
+    where the sum is read) and, at a checkpoint step or the last one,
+    writes log R and int psi ds into the lane's rows of the batch, and the
+    checkpoints of step k from them."""
     dt = cfg.dt_eff
     sqrt_2dt = math.sqrt(2.0 * dt)
 
@@ -368,24 +377,12 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
     fields = _step_fields(p, a, weighted)
     if weighted:
         log_a0 = np.log(np.asarray(a.value(x), dtype=float))
-        psi_sum = psi_last = np.zeros(hi - lo)
+        psi_last = np.zeros(hi - lo)
+        log_r, integral = batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi]
     track_stoch = weighted and batch.log_weight_stochastic is not None
-
-    def log_weight():
-        """(log R, int psi ds) at the current state."""
-        integral = dt * (psi_sum - 0.5 * psi_last)
-        return np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral, integral
-
-    def observe(k):
-        """(drift, lg, |lg|^2, weight) at the state after k steps, lg as in
-        ``_step_fields``.  A weighted lane also folds the finite values of
-        |grad a|/a on its live paths into ``sup`` and any other into
-        ``nonfinite``, freezes the paths whose psi is not finite, adds psi
-        to the trapezoid sum (half weight at k = 0; log_weight halves the last
-        term) and, at a checkpoint step or the last one, takes log_weight()
-        once as ``weight`` and records the checkpoints of step k from it."""
-        nonlocal alive, psi_sum, psi_last, sup, nonfinite
-        weight = None
+    sup, nonfinite = 0.0, False
+    # an unweighted lane does not observe its final state
+    for k in range(cfg.n_steps + 1 if weighted else cfg.n_steps):
         drift, lg, lg_norm2, psi_x = fields(x, t)
         if weighted:
             top = float(np.max(lg_norm2, where=alive, initial=0.0))
@@ -402,15 +399,13 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
                 psi_last = np.where(alive, psi_x, psi_last)
             psi_sum = 0.5 * psi_x if k == 0 else psi_sum + psi_x
             if k in step_of or k == cfg.n_steps:
-                weight = log_weight()
+                # the last write leaves the lane's terminal weight
+                integral[:] = dt * (psi_sum - 0.5 * psi_last)
+                log_r[:] = np.log(np.asarray(a.value(x), dtype=float)) - log_a0 - integral
             for tc in step_of.get(k, ()):
-                batch.checkpoint_log_weights[tc][lo:hi] = weight[0]
-        return drift, lg, lg_norm2, weight
-
-    sup, nonfinite = 0.0, False
-    for k in range(cfg.n_steps):
-        xi = yield
-        drift, lg, lg_norm2, _ = observe(k)
+                batch.checkpoint_log_weights[tc][lo:hi] = log_r
+        if k == cfg.n_steps:
+            break
         if track_stoch:
             if lg is None:
                 lg = np.asarray(a.log_grad(x), dtype=float)
@@ -432,11 +427,8 @@ def _lane_steps(p, a, cfg, weighted, batch, lo, hi, step_of, work):
         np.copyto(x, x_new, where=True if everyone else alive[:, None])
         np.copyto(t, t_new, where=True if everyone else alive)
         # a lane waiting for the next step holds only its state
-        del xi, drift, lg, lg_norm2, x_new, t_new
-    yield
-    if weighted:
-        _, _, _, weight = observe(cfg.n_steps)
-        batch.girsanov_log_weight[lo:hi], batch.psi_integral[lo:hi] = weight
+        del drift, lg, lg_norm2, psi_x, x_new, t_new
+        yield
     batch.divergent[lo:hi] = ~alive
     if batch.j_norm is not None:
         batch.j_norm[lo:hi] = np.linalg.norm(j, 2, axis=(1, 2))
