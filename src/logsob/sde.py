@@ -269,7 +269,7 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
         if lane.tangent not in (True, False, "norm"):
             raise ParameterError("tangent must be True, False or 'norm'")
     lane_cfgs = [dataclasses.replace(cfg, x0=lane.x0) for lane in lanes]
-    for lane_cfg in lane_cfgs:
+    for lane_cfg in (cfg, *lane_cfgs):
         if lane_cfg.dim != p.dim:
             raise ParameterError(f"x0 has dimension {lane_cfg.dim}, potential has {p.dim}")
     workers = worker_count() if max_workers is None else max_workers

@@ -384,6 +384,13 @@ def test_empty_lane_tuple_is_rejected():
         simulate_lanes(p, identity_perturbation(), cfg, ())
     with pytest.raises(ParameterError, match="tangent must be"):
         simulate(p, identity_perturbation(), cfg, tangent="spectral")
+    # the config's x0 sets how many normals each path draws, so it must
+    # match the potential as each lane's does
+    p2 = make_potential("gaussian", 2, rho=1.0)
+    for x0 in ((0.0,), (0.0, 0.0, 0.0)):
+        with pytest.raises(ParameterError, match=f"dimension {len(x0)}, potential has 2"):
+            simulate_lanes(p2, identity_perturbation(), dataclasses.replace(cfg, x0=x0),
+                           (Lane((0.0, 0.0), "plain", False),))
 
 
 @pytest.mark.parametrize("variant, a, observations", [
