@@ -130,7 +130,7 @@ def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
     g = check_G(a, dim=p.dim)
     preconds = [
         Verdict("d=1 restriction", p.dim == 1, False, f"d = {p.dim}"),
-        _a_nondecreasing(a),
+        _a_nondecreasing(a, p.dim),
         Verdict("(G)", g.satisfied, g.heuristic, g.detail),
     ]
     k = _curvature_verdict(preconds, "kappa_tilde", lambda: kappa_tilde(p, a))
@@ -139,7 +139,7 @@ def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
                      notes="scope: non-decreasing positive test functions only")
 
 
-def _a_nondecreasing(a: Perturbation, span: float = 0.0) -> Verdict:
+def _a_nondecreasing(a: Perturbation, dim: int, span: float = 0.0) -> Verdict:
     """Monotonicity verdict for the perturbation, read by the monotone
     bound and by ``verify.monotone_comparison``.
 
@@ -148,13 +148,16 @@ def _a_nondecreasing(a: Perturbation, span: float = 0.0) -> Verdict:
     symmetric profile is flagged rather than rejected).  Custom
     perturbations are checked pointwise on a grid of spacing at most 0.06
     over [-r, r], r = max(30, span), so a comparison whose paths start
-    far out passes its probe span.
+    far out passes its probe span.  A custom perturbation in dimension
+    ``dim`` > 1 is not evaluated.
     """
     name = "a non-decreasing"
     if a.family == "identity":
         return Verdict(name, True, False, "constant")
     if a.radial is not None:
         return Verdict(name, True, True, "non-decreasing in |x| (radial family)")
+    if dim != 1:
+        return _not_evaluated(name, f"the grid check needs d = 1, not d = {dim}")
     reach = max(30.0, span)
     grid = np.linspace(-reach, reach, 2 * math.ceil(reach * 50.0 / 3.0) + 1)[:, None]
     vals = np.asarray(a.value(grid), dtype=float)

@@ -13,11 +13,12 @@ c = C_DT = 5 are constants of the module, not defaults; checks without a
 discretization allowance record c = 0.  Every report records k, c, the
 sample sizes and the seed.
 
-The representation, martingale and monotone checks count as evidence only
-when their estimates do: each fails when an estimate it uses carries
-``flags`` (too many divergent paths, or paths that visited a |grad a|/a
-above the sup the weights assume; see :func:`logsob.sde._reduce`), and
-lists the reasons under ``details["flagged"]``.
+Every check counts as evidence only when its estimates do: it fails when
+an estimate it uses carries ``flags``, and lists the reasons under
+``details["flagged"]``.  An SDE estimate is flagged for too many divergent
+paths, or for paths that visited a |grad a|/a above the sup the weights
+assume (see :func:`logsob.sde._reduce`); an entropy ratio of the audit when
+the ratio or its standard error is not finite.
 
 The audit direction is one-sided by construction: a sampled ratio below
 the bound never proves the bound, a ratio above it (beyond noise)
@@ -87,26 +88,30 @@ class EntropyEstimate:
     n_samples: int
     degenerate: bool
 
+    @property
+    def flags(self) -> tuple:
+        """The reasons not to trust the ratio, as in ``EstimateResult``."""
+        finite = math.isfinite(self.ratio) and math.isfinite(self.ratio_stderr)
+        return () if finite else ("ratio or standard error is not finite",)
+
 
 def _within(lhs, rhs, se_l, se_r, dt):
     tol = K_SIGMA * np.sqrt(np.asarray(se_l) ** 2 + np.asarray(se_r) ** 2) + C_DT * dt
     return bool(np.all(np.abs(np.asarray(lhs) - np.asarray(rhs)) <= tol))
 
 
-def _sde_report(cfg: SdeConfig, passed: bool, estimates: dict, details: dict,
-                **fields) -> CheckReport:
-    """The report of a check on the paths of ``cfg``.  It fails whenever one
-    of the named ``estimates`` carries a flag; ``details["flagged"]`` then
-    lists each reason with the names of the estimates it flags."""
+def _report(passed: bool, estimates: dict, details: dict, **fields) -> CheckReport:
+    """The report of a check.  It fails whenever one of the named
+    ``estimates`` carries a flag; ``details["flagged"]`` then lists each
+    reason with the names of the estimates it flags."""
     reasons = {}
     for name, est in estimates.items():
         for reason in est.flags:
             reasons.setdefault(reason, []).append(name)
     flagged = [f"{reason}: {', '.join(names)}" for reason, names in reasons.items()]
-    return CheckReport(
-        k=K_SIGMA, passed=bool(passed) and not flagged,
-        n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
-        details={**details, **({"flagged": flagged} if flagged else {})}, **fields)
+    return CheckReport(k=K_SIGMA, passed=bool(passed) and not flagged,
+                       details={**details, **({"flagged": flagged} if flagged else {})},
+                       **fields)
 
 
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
@@ -140,8 +145,8 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         name: _within(e1.mean, e2.mean, e1.std_error, e2.std_error, dt)
         for name, (e1, e2) in pairs.items()
     }
-    return _sde_report(
-        cfg, all(verdicts.values()), {"plain": est_plain, "perturbed": est_pert, "fd": est_fd},
+    return _report(
+        all(verdicts.values()), {"plain": est_plain, "perturbed": est_pert, "fd": est_fd},
         {"fd_estimate": est_fd.mean, "fd_stderr": est_fd.std_error, "pairwise": verdicts,
          "f": f.name},
         name="representation",
@@ -149,13 +154,15 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
         lhs_stderr=est_plain.std_error, rhs_stderr=est_pert.std_error,
         tolerance_model=(f"|lhs - rhs| <= {K_SIGMA:g} * sigma_combined + {C_DT:g} * dt "
                          "componentwise"),
-        c_dt=C_DT,
+        c_dt=C_DT, n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
     )
 
 
 def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
                      checkpoints: Sequence[float]) -> CheckReport:
     """E[R_t] = 1 within K_SIGMA standard errors at every checkpoint time."""
+    if not checkpoints:
+        raise ParameterError("martingale_check needs at least one checkpoint time")
     g = check_G(a, dim=p.dim)
     if not g.satisfied:
         raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
@@ -166,15 +173,15 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
     means = {t: float(est.mean) for t, est in ests.items()}
     ses = {t: float(est.std_error) for t, est in ests.items()}
     last = max(ests)
-    return _sde_report(
-        cfg, all(abs(means[t] - 1.0) <= K_SIGMA * ses[t] for t in ests),
+    return _report(
+        all(abs(means[t] - 1.0) <= K_SIGMA * ses[t] for t in ests),
         {f"R({t:g})": est for t, est in ests.items()},
         {"means": means, "stderrs": ses, "n_divergent": batch.n_divergent},
         name="martingale",
         lhs=np.asarray(means[last]), rhs=np.asarray(1.0),
         lhs_stderr=np.asarray(ses[last]), rhs_stderr=np.asarray(0.0),
         tolerance_model=f"|mean(R_t) - 1| <= {K_SIGMA:g} * stderr at each checkpoint",
-        c_dt=0.0,
+        c_dt=0.0, n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
     )
 
 
@@ -193,7 +200,7 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
     # the verdict the monotone bound reads: a symmetric radial profile is
     # non-decreasing in |x|, flagged rather than rejected (the comparison
     # is still checked, not assumed)
-    if not _a_nondecreasing(a, span).ok:
+    if not _a_nondecreasing(a, p.dim, span).ok:
         raise PreconditionError("a non-decreasing", "perturbation decreases on the probe grid")
     a_note = ""
     if a.family != "identity" and a.radial is not None:
@@ -204,14 +211,14 @@ def monotone_comparison(p: Potential, a: Perturbation, f: SmoothFunction,
     lhs, rhs = (_reduce(payoff_terminal(f)(batch), batch.divergent, batch, a)
                 for batch in (perturbed, plain))
     sigma = math.sqrt(float(lhs.std_error) ** 2 + float(rhs.std_error) ** 2)
-    return _sde_report(
-        cfg, float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma,
+    return _report(
+        float(lhs.mean) <= float(rhs.mean) + K_SIGMA * sigma,
         {"perturbed": lhs, "plain": rhs}, {"f": f.name, "note": a_note},
         name="monotone_comparison",
         lhs=lhs.mean, rhs=rhs.mean,
         lhs_stderr=lhs.std_error, rhs_stderr=rhs.std_error,
         tolerance_model=f"one-sided: lhs <= rhs + {K_SIGMA:g} * sigma_combined",
-        c_dt=0.0,
+        c_dt=0.0, n_paths=cfg.n_paths, dt=cfg.dt_eff, seed=cfg.seed,
     )
 
 
@@ -488,7 +495,9 @@ def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
     :func:`builtin_test_family`.
 
     Fails when some test function's empirical ratio exceeds the certified
-    constant beyond noise; passing certifies nothing.
+    constant beyond noise, or when a ratio or its standard error is not
+    finite; the worst function is the one with the largest finite ratio.
+    Passing certifies nothing.
     """
     if not bound.valid:
         raise PreconditionError("bound.valid", "cannot audit an invalid bound")
@@ -497,17 +506,16 @@ def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
     ests = {f.name: entropy_ratio(p, f, samples, seed=seed) for f in fns}
     ratios = {name: (est.ratio, est.ratio_stderr)
               for name, est in ests.items() if not est.degenerate}
-    worst_name = max(ratios, key=lambda name: ratios[name][0], default="")
+    worst_name = max((name for name in ratios if not ests[name].flags),
+                     key=lambda name: ratios[name][0], default="")
     worst_ratio, worst_se = ratios.get(worst_name, (-math.inf, 0.0))
-    passed = worst_ratio <= bound.constant + K_SIGMA * worst_se
-    return CheckReport(
+    return _report(
+        worst_ratio <= bound.constant + K_SIGMA * worst_se, ests,
+        {"worst_function": worst_name, "ratios": ratios, "bound_method": bound.method},
         name="lsi_audit",
         lhs=np.asarray(worst_ratio), rhs=np.asarray(bound.constant),
         lhs_stderr=np.asarray(worst_se), rhs_stderr=np.asarray(0.0),
         tolerance_model=f"one-sided: max ratio <= bound + {K_SIGMA:g} * stderr; "
                         "the audit can falsify, never certify",
-        k=K_SIGMA, c_dt=0.0, passed=bool(passed),
-        n_paths=samples.shape[0], dt=0.0, seed=seed,
-        details={"worst_function": worst_name, "ratios": ratios,
-                 "bound_method": bound.method},
+        c_dt=0.0, n_paths=samples.shape[0], dt=0.0, seed=seed,
     )

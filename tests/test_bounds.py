@@ -84,6 +84,18 @@ def test_fk_mono_d2_rejected():
     rep = fk_mono_bound(make_potential("gaussian", 2, rho=1.0), identity_perturbation())
     assert not rep.valid
     assert "d=1 restriction" in rep.failed()
+    # a custom perturbation that reads x_2 is not probed on one-dimensional points
+    tanh2 = make_custom_perturbation(
+        value=lambda x: 2 + np.tanh(x[..., 1]),
+        gradient=lambda x: np.stack([np.zeros(np.shape(x)[:-1]),
+                                     1 - np.tanh(x[..., 1]) ** 2], axis=-1),
+        laplacian=lambda x: -2 * np.tanh(x[..., 1]) * (1 - np.tanh(x[..., 1]) ** 2),
+        dim=2,
+    )
+    rep = fk_mono_bound(make_potential("gaussian", 2, rho=1.0), tanh2)
+    assert not rep.valid and rep.constant == math.inf
+    assert rep.failed()[:2] == ["d=1 restriction", "a non-decreasing"]
+    assert rep.preconditions[1].detail.startswith("not evaluated")
 
 
 def test_fk_mono_subbotin_arctan_d1():

@@ -127,6 +127,8 @@ def test_martingale_identity_exact():
     rep = martingale_check(p, identity_perturbation(), cfg, checkpoints=(0.5, 1.0))
     assert rep.passed
     assert all(m == 1.0 for m in rep.details["means"].values())
+    with pytest.raises(ParameterError, match="at least one checkpoint"):
+        martingale_check(p, identity_perturbation(), cfg, checkpoints=())
 
 
 def test_martingale_subbotin_multi_checkpoint():
@@ -620,9 +622,25 @@ def test_audit_gaussian_bound_two_saturating():
     bound = bakry_emery_bound(p)
     s = sample_measure(p, 100_000, seed=41)
     rep = lsi_audit(p, bound, s)
-    assert rep.passed
+    assert rep.passed and "flagged" not in rep.details
     # the exponential tilts approach the constant: the audit is not vacuous
     assert float(rep.lhs) > 1.5
+
+
+def test_audit_fails_on_a_ratio_that_is_not_finite():
+    """On samples of spread about 450, f^2 of the steepest tilt overflows
+    and its ratio is NaN: the audit fails and names it, and the worst
+    function is the largest finite ratio, which alone would pass."""
+    p = make_potential("gaussian", 2, rho=5e-6)
+    with np.errstate(all="ignore"):
+        rep = lsi_audit(p, bakry_emery_bound(p), sample_measure(p, 2_000, seed=3), seed=3)
+    assert all(math.isnan(v) for v in rep.details["ratios"]["tilt(theta=1, u=e1)"])
+    assert rep.details["flagged"] == ["ratio or standard error is not finite: "
+                                      "tilt(theta=1, u=e1)"]
+    assert not rep.passed
+    assert math.isfinite(float(rep.lhs))
+    assert float(rep.lhs) == rep.details["ratios"][rep.details["worst_function"]][0]
+    assert float(rep.lhs) + 3.0 * float(rep.lhs_stderr) <= float(rep.rhs)
 
 
 def test_audit_refuses_invalid_bound():
