@@ -104,7 +104,7 @@ def _curvature_verdict(preconds, kind, curvature) -> float:
 
 def fk_bound(p: Potential, a: Perturbation) -> BoundReport:
     """Curvature bound 4 ||a|| ||1/a|| / kappa_a."""
-    g = check_G(a, dim=p.dim)
+    g = check_G(a)
     preconds = [
         Verdict("(G)", g.satisfied, g.heuristic, g.detail),
         Verdict("sup a finite", math.isfinite(a.sup_a.value), not a.sup_a.exact,
@@ -127,7 +127,7 @@ def fk_mono_bound(p: Potential, a: Perturbation) -> BoundReport:
     The constant controls the entropy of non-decreasing positive test
     functions; it is not a full logarithmic Sobolev constant.
     """
-    g = check_G(a, dim=p.dim)
+    g = check_G(a)
     preconds = [
         Verdict("d=1 restriction", p.dim == 1, False, f"d = {p.dim}"),
         _a_nondecreasing(a, p.dim),

@@ -27,7 +27,8 @@ Each built-in states its closed forms in t once, as a :class:`RadialTilt`;
 its evaluators on x derive from them, and the radial curvature search and
 the (BM) and Holley-Stroock checks read them directly.  Custom
 perturbations supply value, gradient and Laplacian callables; their norms
-fall back to grid estimates flagged non-exact.
+fall back to grid estimates flagged non-exact, and that estimate of
+sup |grad a|/a is the one (G) reads.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ def make_custom_perturbation(
     (..., dim)-shaped points, as a Perturbation.
 
     Norms are grid estimates over a radial logarithmic grid along the
-    coordinate axes and diagonals, flagged ``exact=False``.
+    coordinate axes and the main diagonal, flagged ``exact=False``.  A norm
+    that overflows on the grid is inf, and so is the sup of |grad a|/a when
+    it grows over the nested shells |x| <= 5, 15, 25: this one probe decides
+    condition (G), which :func:`check_G` reads.
     """
     if dim < 1:
         raise ParameterError("dim must be a positive integer")
@@ -192,8 +196,12 @@ def make_custom_perturbation(
     # overflow on the probe grid is itself evidence of an unbounded norm
     sup_a = float(np.max(vals[finite])) if np.all(finite) else math.inf
     sup_a_inv = float(np.max(1.0 / vals[finite]))
-    lg_finite = lg[np.isfinite(lg)]
-    sup_lg = float(np.max(lg_finite)) if np.all(np.isfinite(lg)) else math.inf
+    sup_lg = math.inf
+    if np.all(np.isfinite(lg)):
+        r = np.sqrt(np.sum(pts**2, axis=-1))
+        shell_sups = [float(np.max(lg[r <= s])) for s in (5.0, 15.0, 25.0)]
+        if not all(b > 1.1 * max(c, 1e-30) for b, c in zip(shell_sups[1:], shell_sups)):
+            sup_lg = float(np.max(lg))
 
     return Perturbation(
         family="custom",
@@ -271,39 +279,23 @@ def tilted_hess_split(p: Potential, a: Perturbation, t: Array) -> tuple:
 # --- admissibility conditions --------------------------------------------
 
 
-def check_G(a: Perturbation, dim: int = 1) -> ConditionReport:
+# the detail strings of the built-ins' closed forms, which bound reports print
+_G_DETAIL = {"identity": "grad a = 0",
+             "arctan": "closed-form maximum of eps sqrt(t)/(1+t^2) at t = 1/sqrt(3)"}
+
+
+def check_G(a: Perturbation) -> ConditionReport:
     """Boundedness of |grad a|/a, the admissibility condition for the
-    path-reweighting representation."""
-    if a.family == "identity":
-        return ConditionReport("(G)", True, 0.0, True, False, "grad a = 0")
-    if a.family == "arctan":
-        return ConditionReport(
-            "(G)", True, a.sup_log_grad.value, True, False,
-            "closed-form maximum of eps sqrt(t)/(1+t^2) at t = 1/sqrt(3)",
-        )
-    pts = _probe_points(dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lg = np.sqrt(np.sum(np.asarray(a.log_grad(pts)) ** 2, axis=-1))
-    finite = np.isfinite(lg)
-    sup = float(np.max(lg[finite])) if np.any(finite) else math.inf
-    if not np.all(finite):
-        return ConditionReport(
-            "(G)", False, sup, False, True,
-            "warning: |grad a|/a overflows at large probe radius; treated as unbounded",
-        )
-    # growth heuristic: compare sups on nested radius shells
-    r = np.sqrt(np.sum(pts**2, axis=-1))
-    shells = [5.0, 15.0, 25.0]
-    shell_sups = [float(np.max(lg[r <= s])) for s in shells if np.any(r <= s)]
-    growing = len(shell_sups) > 1 and all(
-        b > 1.1 * max(c, 1e-30) for b, c in zip(shell_sups[1:], shell_sups[:-1])
-    )
-    if growing:
-        return ConditionReport(
-            "(G)", False, sup, False, True,
-            "warning: grid sup of |grad a|/a grows with the probe radius; unbounded",
-        )
-    return ConditionReport("(G)", True, sup, False, True, "grid estimate")
+    path-reweighting representation: a read of ``a.sup_log_grad``, which
+    holds when that sup is finite.  A custom perturbation's sup is the grid
+    estimate of :func:`make_custom_perturbation`, so its verdict is
+    heuristic."""
+    sup = a.sup_log_grad
+    bounded = math.isfinite(sup.value)
+    detail = _G_DETAIL.get(a.family, "grid estimate" if bounded else
+                           "warning: grid sup of |grad a|/a overflows or grows with the probe "
+                           "radius; unbounded")
+    return ConditionReport("(G)", bounded, sup.value, sup.exact, not sup.exact, detail)
 
 
 def check_BM(a: Perturbation, p: Potential) -> ConditionReport:

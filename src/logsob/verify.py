@@ -114,6 +114,14 @@ def _report(passed: bool, estimates: dict, details: dict, **fields) -> CheckRepo
                        **fields)
 
 
+def _require_G(a: Perturbation) -> None:
+    """Raise PreconditionError unless ``a`` satisfies (G), which justifies
+    the path weights R."""
+    g = check_G(a)
+    if not g.satisfied:
+        raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
+
+
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
                          cfg: SdeConfig) -> CheckReport:
     """Three estimators of grad E[f(X_T^x)] at x = x0 must agree pairwise:
@@ -126,9 +134,7 @@ def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
     All three run as lanes of one :func:`~logsob.sde.simulate_lanes` call,
     so every step's increments are drawn once for the 2 + 2d runs.
     """
-    g = check_G(a, dim=p.dim)
-    if not g.satisfied:
-        raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
+    _require_G(a)
     plain, pert, *fd = simulate_lanes(
         p, a, cfg, (Lane(cfg.x0, "plain", True), Lane(cfg.x0, "perturbed", True),
                      *_fd_lanes(cfg)))
@@ -163,9 +169,7 @@ def martingale_check(p: Potential, a: Perturbation, cfg: SdeConfig,
     """E[R_t] = 1 within K_SIGMA standard errors at every checkpoint time."""
     if not checkpoints:
         raise ParameterError("martingale_check needs at least one checkpoint time")
-    g = check_G(a, dim=p.dim)
-    if not g.satisfied:
-        raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
+    _require_G(a)
     batch = simulate(p, a, cfg, variant="perturbed", checkpoint_times=checkpoints,
                      tangent=False)
     ests = {t: _reduce(np.exp(lw), batch.divergent, batch, a)

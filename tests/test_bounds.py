@@ -59,16 +59,20 @@ def test_fk_subbotin_identity_invalid_kappa_zero():
     assert "kappa = 0" in kappa_verdict.detail
 
 
-def test_fk_unbounded_custom_perturbation_invalid():
+@pytest.mark.parametrize("c", [1.0, 1e-7], ids=["overflowing", "growing"])
+def test_fk_unbounded_custom_perturbation_invalid(c):
+    # a = exp(c |x|^2): |grad a|/a = 2 c |x| is unbounded, and the report
+    # says so in both verdicts that read it
     a = make_custom_perturbation(
-        value=lambda x: np.exp(np.sum(x**2, axis=-1)),
-        gradient=lambda x: 2 * x * np.exp(np.sum(x**2, axis=-1))[..., None],
-        laplacian=lambda x: (2 + 4 * np.sum(x**2, axis=-1)) * np.exp(np.sum(x**2, axis=-1)),
+        value=lambda x: np.exp(c * np.sum(x**2, axis=-1)),
+        gradient=lambda x: 2 * c * x * np.exp(c * np.sum(x**2, axis=-1))[..., None],
+        laplacian=lambda x: (2 * c + 4 * c * c * np.sum(x**2, axis=-1))
+        * np.exp(c * np.sum(x**2, axis=-1)),
         dim=1,
     )
     rep = fk_bound(make_potential("gaussian", 1, rho=1.0), a)
     assert not rep.valid
-    assert "(G)" in rep.failed()
+    assert {"(G)", "sup |grad a| finite"} <= set(rep.failed())
 
 
 # --- monotone-scope bound -------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logsob.errors import EvaluationError, ParameterError
 from logsob.perturbations import (
     ARCTAN_EPS_MAX,
+    Norm,
     arctan_perturbation,
     check_BM,
     check_G,
@@ -183,14 +184,42 @@ def test_check_G_arctan_closed_form():
     assert brute == pytest.approx(rep.sup, rel=1e-6)
 
 
-def test_check_G_unbounded_custom_flagged():
-    a = make_custom_perturbation(
-        value=lambda x: np.exp(np.sum(x**2, axis=-1)),
-        gradient=lambda x: 2 * x * np.exp(np.sum(x**2, axis=-1))[..., None],
-        laplacian=lambda x: (2 + 4 * np.sum(x**2, axis=-1)) * np.exp(np.sum(x**2, axis=-1)),
+def _exp_sq(c):
+    """a = exp(c |x|^2) in d = 1, whose |grad a|/a = 2 c |x| grows with |x|."""
+    return make_custom_perturbation(
+        value=lambda x: np.exp(c * np.sum(x**2, axis=-1)),
+        gradient=lambda x: 2 * c * x * np.exp(c * np.sum(x**2, axis=-1))[..., None],
+        laplacian=lambda x: (2 * c + 4 * c * c * np.sum(x**2, axis=-1))
+        * np.exp(c * np.sum(x**2, axis=-1)),
         dim=1,
     )
-    rep = check_G(a, dim=1)
+
+
+@pytest.mark.parametrize("make", [
+    identity_perturbation,
+    lambda: arctan_perturbation(0.8),
+    lambda: make_custom_perturbation(
+        value=lambda x: 2 + np.exp(-np.sum(x**2, axis=-1)),
+        gradient=lambda x: -2 * x * np.exp(-np.sum(x**2, axis=-1))[..., None],
+        laplacian=lambda x: (4 * np.sum(x**2, axis=-1) - 2) * np.exp(-np.sum(x**2, axis=-1)),
+        dim=1),
+    lambda: _exp_sq(1.0),
+    lambda: _exp_sq(1e-7),
+], ids=["identity", "arctan", "bounded custom", "overflowing custom", "growing custom"])
+def test_check_G_reads_the_sup_of_the_perturbation(make):
+    a = make()
+    rep = check_G(a)
+    assert rep.sup == a.sup_log_grad.value
+    assert rep.satisfied == math.isfinite(a.sup_log_grad.value)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-7], ids=["overflowing", "growing"])
+def test_check_G_unbounded_custom_flagged(c):
+    # exp(|x|^2) overflows on the probe grid; at c = 1e-7 |grad a|/a = 2e-7 |x|
+    # stays finite and below 2e-4 there, but grows over the nested shells
+    a = _exp_sq(c)
+    assert a.sup_log_grad == Norm(math.inf, False)
+    rep = check_G(a)
     assert not rep.satisfied
     assert rep.heuristic and not rep.exact
     assert "warning" in rep.detail
