@@ -192,8 +192,9 @@ def make_custom_potential(
     The callables take points batched over (..., d).  The Hessian lower
     bound, which the Bakry-Emery and Holley-Stroock bounds read, is
     estimated on a fixed radial probe grid along the first axis and is not
-    certified.  ``radial`` may be supplied when the callables are known to
-    be radially symmetric; its closed forms are taken as given.
+    certified; a Hessian that is not symmetric on that grid is rejected.
+    ``radial`` may be supplied when the callables are known to be radially
+    symmetric; its closed forms are taken as given.
     """
     if dim < 1:
         raise ParameterError("dim must be a positive integer (got %r)" % (dim,))
@@ -204,6 +205,9 @@ def make_custom_potential(
         x = np.zeros(dim)
         x[0] = math.sqrt(r2)
         h = np.asarray(hessian(x), dtype=float)
+        asymmetry = _asymmetry(h)
+        if asymmetry:
+            raise ParameterError(f"{asymmetry} at x = {x.tolist()}")
         floor = min(floor, float(jacobi_eigenvalues(h)[0]))
 
     return Potential(
@@ -261,10 +265,18 @@ def rho_minus(p: Potential, x: Array) -> float:
     h = np.asarray(p.hessian(x), dtype=float)
     if not np.all(np.isfinite(h)):
         raise EvaluationError("Hessian is non-finite", point=x)
-    asym = float(np.max(np.abs(h - h.T)))
-    if asym > 1e-10:
-        raise EvaluationError("custom Hessian is not symmetric (max dev %.3e)" % asym, point=x)
+    asymmetry = _asymmetry(h)
+    if asymmetry:
+        raise EvaluationError(asymmetry, point=x)
     return float(jacobi_eigenvalues(h)[0])
+
+
+def _asymmetry(h: Array) -> Optional[str]:
+    """Why the custom Hessian ``h`` is rejected, or None when it is
+    symmetric: the eigenvalue floor reads only the lower triangle, while
+    the tangent flow multiplies by the whole matrix."""
+    dev = float(np.max(np.abs(h - h.T)))
+    return "custom Hessian is not symmetric (max dev %.3e)" % dev if dev > 1e-10 else None
 
 
 def hessian_eigenvalues(p: Potential, x: Array) -> Array:

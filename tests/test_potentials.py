@@ -258,11 +258,20 @@ def test_custom_potential_wraps_callables():
 
 
 def test_custom_asymmetric_hessian_rejected():
+    with pytest.raises(ParameterError, match="symmetric"):
+        make_custom_potential(
+            2,
+            value=lambda x: float(np.sum(x**2)),
+            gradient=lambda x: 2 * x,
+            hessian=lambda x: np.array([[2.0, 1e-6], [0.0, 2.0]]),
+        )
+    # symmetric on the first axis, where the construction probes, but not
+    # at (1, 1)
     p = make_custom_potential(
         2,
         value=lambda x: float(np.sum(x**2)),
         gradient=lambda x: 2 * x,
-        hessian=lambda x: np.array([[2.0, 1e-6], [0.0, 2.0]]),
+        hessian=lambda x: np.array([[2.0, 1e-6 * x[1]], [0.0, 2.0]]),
     )
     with pytest.raises(EvaluationError, match="symmetric"):
         rho_minus(p, np.ones(2))
