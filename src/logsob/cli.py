@@ -165,14 +165,7 @@ def _cmd_bound(args) -> tuple:
     return dumps(reports), True
 
 
-def _check_beta(args) -> None:
-    # only the double well has a beta; the manifest must not record an unread input
-    if args.family == "quadric" and args.beta is not None:
-        raise ParameterError("--beta applies only to double_well")
-
-
 def _cmd_certify(args) -> tuple:
-    _check_beta(args)
     beta = quartic_beta(args.family, args.beta)
     cert = (certify_quadric(args.eps, args.dim) if args.family == "quadric"
             else certify_double_well(args.eps, args.dim, beta))
@@ -205,7 +198,6 @@ def _parse_dims(spec: str):
 
 
 def _cmd_sweep(args) -> tuple:
-    _check_beta(args)
     rows = dimension_sweep(args.family, _parse_dims(args.dims), beta=args.beta)
     names = [f.name for f in dataclasses.fields(SweepRow)]
     lines = [",".join(names)]

@@ -320,7 +320,7 @@ def test_beta_with_quadric_exits_one(capsys, command, tail):
     code, out, err = run(capsys, command, "--family", "quadric", *tail, "--beta", "0.25")
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "ParameterError: --beta applies only to double_well"
+    assert json.loads(err)["error"] == "ParameterError: quadric takes no beta"
 
 
 # --- start-up -------------------------------------------------------------------
