@@ -215,8 +215,9 @@ def _cmd_simulate(args) -> tuple:
     batch = simulate(p, a, cfg, variant=variant, tangent="norm" if args.emit_paths else False)
     # fewer than two valid paths have no mean and standard error: _reduce
     # raises EstimationError, and the run exits 1.  Only the weight's
-    # standard error is printed; the other means are those of _reduce.
-    weight = _reduce(batch.weights(), batch.divergent)
+    # standard error is printed; the other means are those of _reduce, and
+    # its flags are the reasons not to trust any of them.
+    weight = _reduce(batch.weights(), batch.divergent, batch, a)
     x_t, psi_integral = batch.x_t, batch.psi_integral
     if weight.n_divergent:
         x_t, psi_integral = x_t[~batch.divergent], psi_integral[~batch.divergent]
@@ -230,6 +231,7 @@ def _cmd_simulate(args) -> tuple:
         "mean_weight": float(weight.mean),
         "stderr_weight": float(weight.std_error),
         "mean_psi_integral": float(np.mean(psi_integral, axis=0)),
+        **({"flags": list(weight.flags)} if weight.flags else {}),
     }
     if args.emit_paths:
         _write_paths(args.emit_paths, batch)

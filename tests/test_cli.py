@@ -463,7 +463,7 @@ def test_simulate_summary_and_paths_file(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["n_paths"] == 256
-    assert summary["n_divergent"] == 0
+    assert summary["n_divergent"] == 0 and "flags" not in summary
     assert abs(summary["mean_weight"] - 1.0) < 0.05
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "path_id,x_t_0,x_t_1,log_r,j_norm"
@@ -544,6 +544,23 @@ def test_simulate_without_x0_starts_at_the_origin_of_the_potential(capsys):
     code_origin, out_origin, _ = run(capsys, *argv, "--x0", "0,0")
     assert code_origin == 0
     assert out == out_origin
+
+
+def test_simulate_flags_divergent_paths_and_averages_the_rest(capsys):
+    # at this coarse dt 19 of 2000 quartic paths diverge
+    pot, pert = "family=subbotin alpha=4 dim=1", "perturbation=arctan eps=0.5"
+    code, out, err = run(capsys, "simulate", "--potential", pot, "--perturbation", pert,
+                         "--t", "3", "--dt", "0.3", "--paths", "2000", "--seed", "47")
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["n_divergent"] == 19
+    assert summary["flags"] == ["more than 0.1% of the paths diverged"]
+    cfg = SdeConfig(dt=0.3, horizon=3.0, n_paths=2000, seed=47, x0=(0.0,))
+    batch = simulate(parse_potential(pot), parse_perturbation(pert), cfg,
+                     variant="perturbed", tangent=False)
+    valid = ~batch.divergent
+    assert summary["mean_x_t"] == [float(np.mean(batch.x_t[valid]))]
+    assert summary["mean_psi_integral"] == float(np.mean(batch.psi_integral[valid]))
 
 
 def test_simulate_with_every_path_divergent_exits_one(capsys):

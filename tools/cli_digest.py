@@ -165,6 +165,10 @@ def _commands() -> list:
     # ratio fails the audit
     cmds.append(["verify", "--check", "audit", "--potential", "family=gaussian rho=5e-6 dim=2",
                  "--perturbation", "perturbation=identity", "--paths", "2000", "--seed", "3"])
+    # at this coarse dt 19 of 2000 quartic paths diverge: simulate flags it
+    cmds.append(["simulate", "--potential", "family=subbotin alpha=4 dim=1",
+                 "--perturbation", "perturbation=arctan eps=0.5", "--t", "3", "--dt", "0.3",
+                 "--paths", "2000", "--seed", "47"])
     return cmds
 
 
