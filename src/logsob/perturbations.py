@@ -200,7 +200,7 @@ def make_custom_perturbation(
     if np.all(np.isfinite(lg)):
         r = np.sqrt(np.sum(pts**2, axis=-1))
         shell_sups = [float(np.max(lg[r <= s])) for s in (5.0, 15.0, 25.0)]
-        if not all(b > 1.1 * max(c, 1e-30) for b, c in zip(shell_sups[1:], shell_sups)):
+        if not all(b > 1.1 * max(c, 1e-30) for b, c in zip(shell_sups[1:], shell_sups[:-1])):
             sup_lg = float(np.max(lg))
 
     return Perturbation(
