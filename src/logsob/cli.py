@@ -143,7 +143,7 @@ def _named_function(name: str, dim: int) -> SmoothFunction:
     if name == "one-plus-tanh":
         return tanh_function("one-plus-tanh", 0.0)
     if name == "exp-tilt":
-        return tilt_function("exp-tilt", 0.8, e1)
+        return tilt_function("exp-tilt", 0.8, "e1")
     raise ParameterError(f"unknown test function {name!r}; "
                          "choose linear, tanh, one-plus-tanh or exp-tilt")
 

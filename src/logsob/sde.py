@@ -77,7 +77,9 @@ is the one place that turns path values into an :class:`EstimateResult`:
 mean, standard error and ``flags``, the reasons its evidence is not to be
 trusted.  An estimate is flagged when more than 0.1% of its paths
 diverged, or when its perturbed live paths visited a |grad a|/a above the
-sup ``a.sup_log_grad`` that the weights assume, or a NaN or infinite one.
+sup ``a.sup_log_grad`` that the weights assume, or a NaN or infinite one,
+or when they are weighted under an a whose sup is not finite, which
+violates (G).
 The sup is taken over the finite values only, so a non-finite value, which
 is its own flag, hides none of them; the checks of :mod:`logsob.verify`
 fail on any flag.
@@ -96,7 +98,8 @@ import numpy as np
 
 from . import rng
 from .errors import EstimationError, ParameterError
-from .perturbations import Perturbation, identity_perturbation, psi_from_parts, psi_radial_parts
+from .perturbations import (Perturbation, check_G, identity_perturbation, psi_from_parts,
+                            psi_radial_parts)
 from .potentials import Potential
 
 DIVERGENCE_RADIUS = 1e8
@@ -192,6 +195,8 @@ class PathBatch:
     array at zero: R = 1 exactly.  ``observed_sup_log_grad`` is the sup of
     the finite values of |grad a|/a that live weighted paths visited, and
     ``nonfinite_log_grad`` tells whether they visited a NaN or infinite one.
+    ``g_condition_exceeded`` tells whether weighted paths exceeded the sup
+    ``a.sup_log_grad`` that their weights assume, or that sup is not finite.
     """
 
     cfg: SdeConfig
@@ -301,13 +306,14 @@ def simulate_lanes(p: Potential, a: Perturbation, cfg: SdeConfig, lanes: Sequenc
             lambda block: _run_block(p, a, cfg, block, step_of, batches, weighted),
             rng.block_ranges(n)) for tile in block]
     # each lane's (sup, nonfinite) over every tile of every block
-    for batch, lane_observed in zip(batches, zip(*tiles)):
+    for batch, lane_observed, lane_weighted in zip(batches, zip(*tiles), weighted):
         sups, nonfinite = zip(*lane_observed)
         batch.observed_sup_log_grad, batch.nonfinite_log_grad = max(sups), any(nonfinite)
         # post hoc admissibility: the visited states must not reveal a larger
-        # |grad a|/a than the norm the weights were justified with
-        batch.g_condition_exceeded = (batch.observed_sup_log_grad
-                                      > a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12)
+        # |grad a|/a than the norm the weights were justified with, and no
+        # weight is justified by a norm that is not finite
+        batch.g_condition_exceeded = lane_weighted and not (
+            batch.observed_sup_log_grad <= a.sup_log_grad.value * (1.0 + 1e-9) + 1e-12 < math.inf)
     return batches
 
 
@@ -517,13 +523,22 @@ class EstimateResult:
     flags: tuple
 
 
+def _g_violation(a: Perturbation) -> Optional[str]:
+    """Why ``a`` violates (G), which justifies the path weights R, in the
+    words that the checks raise and that weighted estimates are flagged
+    with; None when it holds."""
+    g = check_G(a)
+    return None if g.satisfied else f"perturbation violates (G): {g.detail}"
+
+
 def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch] = None,
             a: Optional[Perturbation] = None) -> EstimateResult:
     """Mean and standard error of the per-path ``values`` over the paths
     that did not diverge, with the reasons to distrust them: more than
     MAX_DIVERGENT_FRACTION of the paths diverged, or the paths of ``batch``,
     simulated with ``a``, visited a |grad a|/a above the sup the weights
-    assume, or one that is not finite."""
+    assume, or one that is not finite, or are weighted under an ``a`` that
+    violates (G)."""
     valid = ~divergent
     n_valid = int(np.sum(valid))
     if n_valid < 2:
@@ -537,7 +552,8 @@ def _reduce(values: np.ndarray, divergent: np.ndarray, batch: Optional[PathBatch
     if (divergent.size - n_valid) / divergent.size > MAX_DIVERGENT_FRACTION:
         flags.append(f"more than {MAX_DIVERGENT_FRACTION:.1%} of the paths diverged")
     if batch is not None and batch.g_condition_exceeded:
-        flags.append(f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
+        flags.append(_g_violation(a) or
+                     f"paths visited |grad a|/a = {batch.observed_sup_log_grad:.6g}, above the "
                      f"sup {a.sup_log_grad.value:.6g} the weights assume")
     if batch is not None and batch.nonfinite_log_grad:
         flags.append("paths visited a state where |grad a|/a is not finite")

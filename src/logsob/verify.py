@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng
 from .bounds import BoundReport, _a_nondecreasing
 from .errors import EstimationError, ParameterError, PreconditionError
-from .perturbations import Perturbation, check_G
+from .perturbations import Perturbation
 from .potentials import Potential
 from .sde import (
     Lane,
@@ -44,6 +44,7 @@ from .sde import (
     SmoothFunction,
     _fd_gradient,
     _fd_lanes,
+    _g_violation,
     _reduce,
     payoff_tangent_gradient,
     payoff_terminal,
@@ -117,9 +118,9 @@ def _report(passed: bool, estimates: dict, details: dict, **fields) -> CheckRepo
 def _require_G(a: Perturbation) -> None:
     """Raise PreconditionError unless ``a`` satisfies (G), which justifies
     the path weights R."""
-    g = check_G(a)
-    if not g.satisfied:
-        raise PreconditionError("(G)", f"perturbation violates (G): {g.detail}")
+    reason = _g_violation(a)
+    if reason:
+        raise PreconditionError("(G)", reason)
 
 
 def representation_check(p: Potential, a: Perturbation, f: SmoothFunction,
@@ -400,6 +401,113 @@ def _sample_mala(p: Potential, n: int, seed: int) -> np.ndarray:
 # --- entropy / energy ratios -----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _ProjectedFunction(SmoothFunction):
+    """A test function of one projection s of x (see :func:`_project`).
+
+    ``form(s, f, q)`` writes f into ``f`` and into ``q`` the scaled value
+    with grad f = q v, where v is the unit vector u of s = <x, u>, or x for
+    s = |x|^2.  The value, the gradient and |grad f|^2 = q^2 |v|^2 all come
+    from it; the last squares q, as the gradient is scaled by it, so it
+    overflows where the gradient's squares do.
+    """
+
+    along: str
+    form: Callable
+
+
+def _unit(along: str, d: int) -> np.ndarray:
+    """The unit vector of the projection <x, u> along "e1" or "diag"."""
+    if along == "e1":
+        return np.eye(1, d)[0]
+    return np.full(d, 1.0 / math.sqrt(d))
+
+
+def _project(x: np.ndarray, along: str) -> tuple:
+    """(s, |v|^2) of the projection a family function reads: along "e1"
+    the column x_1 itself, along "diag" <x, (1, ..., 1) / sqrt d>, and for
+    "norm2" s = |x|^2.  The diagonal is taken with einsum, not ``x @ u``:
+    OpenBLAS gemv bits depend on its thread count."""
+    if along == "norm2":
+        s = np.add.reduce(np.square(x), axis=-1)
+        return s, s
+    if along == "e1":
+        return x[..., 0], 1.0
+    u = _unit(along, x.shape[-1])
+    return np.einsum("...i,i->...", x, u), float(np.einsum("i,i->", u, u))
+
+
+def _projected(name: str, along: str, form: Callable) -> _ProjectedFunction:
+    def evaluate(x):
+        s = _project(x, along)[0]
+        f, q = np.empty(np.shape(s)), np.empty(np.shape(s))
+        form(s, f, q)
+        return f, q
+
+    def gradient(x):
+        v = x if along == "norm2" else _unit(along, x.shape[-1])
+        return evaluate(x)[1][..., None] * v
+
+    return _ProjectedFunction(name, lambda x: evaluate(x)[0], gradient, along, form)
+
+
+def _fill(f: _ProjectedFunction, projection: tuple, g: np.ndarray, e: np.ndarray) -> None:
+    """g = f^2 and e = |grad f|^2 = q^2 |v|^2 at the (s, |v|^2) of
+    :func:`_project`, in place."""
+    s, v2 = projection
+    f.form(s, g, e)
+    np.square(g, out=g)
+    np.multiply(np.square(e, out=e), v2, out=e)
+
+
+def _stderr(x: np.ndarray, out: np.ndarray) -> float:
+    """np.std(x, ddof=1) / sqrt(n), operation for operation, with the
+    squared deviations in ``out``, which may be x itself."""
+    n = x.size
+    np.square(np.subtract(x, np.add.reduce(x) / n, out=out), out=out)
+    return math.sqrt(float(np.add.reduce(out)) / (n - 1)) / math.sqrt(n)
+
+
+def _estimate(g: np.ndarray, e: np.ndarray, w: np.ndarray) -> EntropyEstimate:
+    """The estimate of :func:`entropy_ratio` from g = f^2 and
+    e = |grad f|^2 on the n samples, in the three (n,) buffers g, e and w,
+    all of which it overwrites.  Each mean is np.mean's sum over n and each
+    standard error :func:`_stderr`, so the bits are those of the formulas
+    on fresh arrays."""
+    n = g.size
+    # g log g, with x log x -> 0 as x -> 0: a function that is 0 on every
+    # sample has Ent = 0 and IF_Ent = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(g, np.log(g, out=w), out=w)
+    positive = g > 0
+    if not positive.all():
+        np.copyto(w, 0.0, where=~positive)
+    mg, mglg, dir_ = (float(np.add.reduce(x)) / n for x in (g, w, e))
+    log_mg = math.log(mg) if mg > 0 else 0.0
+    ent = mglg - mg * log_mg
+    # IF_Ent = g log g - (log E g + 1) g into w; g is scratch from here on
+    np.subtract(w, np.multiply(g, log_mg + 1.0, out=g), out=w)
+    # an infinite energy is no zero energy: its ratio is flagged, not dropped
+    degenerate = math.isfinite(dir_) and dir_ <= 1e-14 * max(1.0, mg)
+    if degenerate and ent > 1e-10:
+        raise EstimationError("degenerate test function: zero energy, positive entropy")
+    ratio = 0.0 if degenerate else ent / dir_
+    ent_se, dir_se = _stderr(w, g), _stderr(e, g)
+    ratio_se = 0.0
+    if not degenerate:
+        # IF_R = (IF_Ent - R |grad f|^2) / E |grad f|^2
+        np.true_divide(np.subtract(w, np.multiply(e, ratio, out=g), out=g), dir_, out=g)
+        ratio_se = _stderr(g, g)
+    return EntropyEstimate(ent, dir_, ratio, ent_se, dir_se, ratio_se, n, degenerate)
+
+
+def _checked_samples(samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape[0] < 2:
+        raise EstimationError(f"only {samples.shape[0]} samples; cannot estimate")
+    return samples
+
+
 def entropy_ratio(p: Potential, f: SmoothFunction, samples: np.ndarray,
                   n_bootstrap: int = 0, seed: int = 0) -> EntropyEstimate:
     """Plug-in estimate of Ent(f^2) / int |grad f|^2 over the samples, with
@@ -408,86 +516,78 @@ def entropy_ratio(p: Potential, f: SmoothFunction, samples: np.ndarray,
     With g = f^2 and R the ratio, the influence functions are
     g log g - (log E g + 1) g for Ent, |grad f|^2 for the energy and
     (IF_Ent - R |grad f|^2) / E |grad f|^2 for R; each standard error is
-    std(IF, ddof=1) / sqrt(n).  A degenerate function (zero energy) has
-    ratio 0 and ratio stderr 0.
+    std(IF, ddof=1) / sqrt(n).  A degenerate function (finite, zero energy)
+    has ratio 0 and ratio stderr 0; an infinite energy is not degenerate,
+    and its ratio is flagged.
+
+    A function of :func:`builtin_test_family` (or of :func:`tilt_function`,
+    :func:`tanh_function` and :func:`bump_function`) is evaluated from its
+    closed form on its one projection of the samples, as :func:`lsi_audit`
+    evaluates it.  Any other f costs one call of ``f.value`` and of
+    ``f.gradient``.  Either way the estimate works in three (n,) buffers.
 
     p, n_bootstrap and seed are unread.  The benchmark's tracer binds
     n_bootstrap and its workloads pass seed, so the two go with the tracer
     change of ROADMAP item 7.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    if n < 2:
-        raise EstimationError(f"only {n} samples; cannot estimate")
+    samples = _checked_samples(samples)
+    if isinstance(f, _ProjectedFunction):
+        projection = _project(samples, f.along)
+        g, e, w = np.empty((3, samples.shape[0]))
+        _fill(f, projection, g, e)
+        return _estimate(g, e, w)
     g = np.square(np.asarray(f.value(samples), dtype=float))
-    glg = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
-    grad = np.asarray(f.gradient(samples), dtype=float)
-    energy = np.sum(grad * grad, axis=-1)
-    mg, mglg, dir_ = (float(np.mean(x)) for x in (g, glg, energy))
-    # x log x -> 0 as x -> 0, so a function that is 0 on every sample has Ent = 0
-    # and IF_Ent = 0
-    log_mg = math.log(mg) if mg > 0 else 0.0
-    ent = mglg - mg * log_mg
-    if_ent = glg - (log_mg + 1.0) * g
-    degenerate = dir_ <= 1e-14 * max(1.0, mg)
-    if degenerate and ent > 1e-10:
-        raise EstimationError("degenerate test function: zero energy, positive entropy")
-    ratio = 0.0 if degenerate else ent / dir_
-    if_ratio = np.zeros(n) if degenerate else (if_ent - ratio * energy) / dir_
-    ent_se, dir_se, ratio_se = (float(np.std(x, ddof=1)) / math.sqrt(n)
-                                for x in (if_ent, energy, if_ratio))
-    return EntropyEstimate(ent, dir_, ratio, ent_se, dir_se, ratio_se, n, degenerate)
+    e = np.add.reduce(np.square(np.asarray(f.gradient(samples), dtype=float)), axis=-1)
+    return _estimate(g, e, np.empty_like(g))
 
 
-def tilt_function(name: str, theta: float, u: np.ndarray) -> SmoothFunction:
-    """exp(theta <x, u> / 2)."""
+def tilt_function(name: str, theta: float, along: str) -> SmoothFunction:
+    """exp(theta <x, u> / 2) along u = e1 or the diagonal ("diag"), with
+    grad f = (theta / 2) f u."""
+    if along not in ("e1", "diag"):
+        raise ParameterError(f"a tilt runs along e1 or diag, not {along!r}")
+    c = 0.5 * theta
 
-    def value(x):
-        return np.exp(0.5 * theta * (x @ u))
+    def form(s, f, q):
+        np.exp(np.multiply(s, c, out=f), out=f)
+        np.multiply(f, c, out=q)
 
-    def gradient(x):
-        return 0.5 * theta * np.exp(0.5 * theta * (x @ u))[..., None] * u
-
-    return SmoothFunction(name, value, gradient)
+    return _projected(name, along, form)
 
 
 def tanh_function(name: str, shift: float) -> SmoothFunction:
-    """1 + tanh(x_1 - shift)."""
+    """1 + tanh(x_1 - shift), with grad f = e1 / cosh^2(x_1 - shift)."""
 
-    def gradient(x):
-        g = np.zeros_like(x)
-        g[..., 0] = 1.0 / np.cosh(x[..., 0] - shift) ** 2
-        return g
+    def form(s, f, q):
+        np.subtract(s, shift, out=q)
+        np.add(np.tanh(q, out=f), 1.0, out=f)
+        np.true_divide(1.0, np.square(np.cosh(q, out=q), out=q), out=q)
 
-    return SmoothFunction(name, lambda x: 1.0 + np.tanh(x[..., 0] - shift), gradient)
+    return _projected(name, "e1", form)
 
 
 def bump_function(name: str, width: float) -> SmoothFunction:
-    """0.1 + exp(-|x|^2 / (2 width^2))."""
+    """0.1 + exp(-|x|^2 / (2 width^2)), with grad f = -x exp(...) / width^2."""
 
-    def value(x):
-        return 0.1 + np.exp(-np.sum(x**2, axis=-1) / (2 * width * width))
+    def form(s, f, q):
+        np.exp(np.true_divide(s, -2.0 * width * width, out=q), out=q)
+        np.add(q, 0.1, out=f)
+        np.true_divide(q, -width * width, out=q)
 
-    def gradient(x):
-        return -(x / (width * width)) * np.exp(-np.sum(x**2, axis=-1)
-                                               / (2 * width * width))[..., None]
-
-    return SmoothFunction(name, value, gradient)
+    return _projected(name, "norm2", form)
 
 
 def builtin_test_family(dim: int) -> list:
     """Deterministic family of smooth positive test functions used by the
     audit: exponential tilts (they saturate the Gaussian constant) along
     e1 and, in d >= 2, the diagonal, shifted tanh profiles, and Gaussian
-    bumps.  Names are distinct; a tilt names its direction when d >= 2."""
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    directions = {"e1": e1}
-    if dim > 1:
-        directions["diag"] = np.full(dim, 1.0 / math.sqrt(dim))
+    bumps.  Each reads x through one of three projections, x_1, the
+    diagonal and |x|^2.  Names are distinct; a tilt names its direction when
+    d >= 2."""
+    alongs = ("e1",) if dim == 1 else ("e1", "diag")
     fns = [tilt_function(f"tilt(theta={theta:g})" if dim == 1
-                         else f"tilt(theta={theta:g}, u={label})", theta, u)
-           for theta in (0.2, 0.4, 0.6, 0.8, 1.0) for label, u in directions.items()]
+                         else f"tilt(theta={theta:g}, u={along})", theta, along)
+           for theta in (0.2, 0.4, 0.6, 0.8, 1.0) for along in alongs]
     fns += [tanh_function(f"tanh(shift={shift:g})", shift) for shift in (-1.0, 0.0, 1.0)]
     fns += [bump_function(f"bump(width={width:g})", width) for width in (0.7, 1.5)]
     return fns
@@ -498,16 +598,26 @@ def lsi_audit(p: Potential, bound: BoundReport, samples: np.ndarray,
     """One-sided falsification audit of a bound report over
     :func:`builtin_test_family`.
 
-    Fails when some test function's empirical ratio exceeds the certified
-    constant beyond noise, or when a ratio or its standard error is not
-    finite; the worst function is the one with the largest finite ratio.
-    Passing certifies nothing.
+    Each of the family's three projections of the samples is taken once,
+    and every function's estimate runs on one shared set of three (n,)
+    buffers; each ratio equals that of :func:`entropy_ratio` on the function
+    alone, bit for bit.  Fails when some test function's empirical ratio
+    exceeds the certified constant beyond noise, or when a ratio or its
+    standard error is not finite; the worst function is the one with the
+    largest finite ratio.  Passing certifies nothing.
     """
     if not bound.valid:
         raise PreconditionError("bound.valid", "cannot audit an invalid bound")
-    samples = np.asarray(samples, dtype=float)
+    samples = _checked_samples(samples)
     fns = builtin_test_family(samples.shape[1])
-    ests = {f.name: entropy_ratio(p, f, samples, seed=seed) for f in fns}
+    projections = {}
+    g, e, w = np.empty((3, samples.shape[0]))
+    ests = {}
+    for f in fns:
+        if f.along not in projections:
+            projections[f.along] = _project(samples, f.along)
+        _fill(f, projections[f.along], g, e)
+        ests[f.name] = _estimate(g, e, w)
     ratios = {name: (est.ratio, est.ratio_stderr)
               for name, est in ests.items() if not est.degenerate}
     worst_name = max((name for name in ratios if not ests[name].flags),

@@ -989,3 +989,26 @@ def test_post_hoc_g_condition_observation():
     assert batch.observed_sup_log_grad <= a.sup_log_grad.value + 1e-12
     assert not batch.g_condition_exceeded
 
+
+def test_weights_under_a_perturbation_that_violates_G_are_flagged():
+    # a = exp(1e-7 |x|^2): |grad a|/a = 2e-7 |x| stays tiny on these paths,
+    # but grows without bound, so a.sup_log_grad is inf and no visited state
+    # can exceed it; the weighted estimate is flagged in the words of
+    # verify's (G) check, the plain one is not
+    c = 1e-7
+    a = make_custom_perturbation(
+        value=lambda x: np.exp(c * np.sum(x**2, axis=-1)),
+        gradient=lambda x: 2 * c * x * np.exp(c * np.sum(x**2, axis=-1))[..., None],
+        laplacian=lambda x: (2 * c + 4 * c * c * np.sum(x**2, axis=-1))
+        * np.exp(c * np.sum(x**2, axis=-1)),
+        dim=1)
+    assert a.sup_log_grad.value == math.inf
+    p = make_potential("gaussian", 1, rho=1.0)
+    cfg = SdeConfig(dt=0.01, horizon=0.5, n_paths=2000, seed=5, x0=(0.0,))
+    weighted = estimate_expectation(p, a, cfg, payoff_weight(), variant="perturbed",
+                                    tangent=False)
+    assert weighted.flags == ("perturbation violates (G): warning: grid sup of |grad a|/a "
+                              "overflows or grows with the probe radius; unbounded",)
+    plain = estimate_expectation(p, a, cfg, payoff_weight(), variant="plain", tangent=False)
+    assert plain.flags == ()
+

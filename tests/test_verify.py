@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, quad
 
 from logsob.bounds import bakry_emery_bound, fk_bound, fk_mono_bound, optimize_epsilon
@@ -19,13 +23,19 @@ from logsob.verify import (
     MALA_CHAINS,
     MALA_TARGET_ACCEPTANCE,
     MALA_THINNING,
+    _estimate,
+    _fill,
+    _project,
     builtin_test_family,
+    bump_function,
     entropy_ratio,
     lsi_audit,
     martingale_check,
     monotone_comparison,
     representation_check,
     sample_measure,
+    tanh_function,
+    tilt_function,
 )
 
 LINEAR2 = SmoothFunction(
@@ -544,6 +554,90 @@ def test_entropy_ratio_needs_two_samples():
             entropy_ratio(p, f, sample_measure(p, 2, seed=3)[:n])
 
 
+def _entropy_ratio_reference(f, samples):
+    """The plug-in formulas on fresh arrays, as entropy_ratio computed them
+    before it worked in buffers (with the degenerate rule's finite energy)."""
+    n = samples.shape[0]
+    g = np.square(np.asarray(f.value(samples), dtype=float))
+    glg = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
+    grad = np.asarray(f.gradient(samples), dtype=float)
+    energy = np.sum(grad * grad, axis=-1)
+    mg, mglg, dir_ = (float(np.mean(x)) for x in (g, glg, energy))
+    log_mg = math.log(mg) if mg > 0 else 0.0
+    ent = mglg - mg * log_mg
+    if_ent = glg - (log_mg + 1.0) * g
+    degenerate = math.isfinite(dir_) and dir_ <= 1e-14 * max(1.0, mg)
+    ratio = 0.0 if degenerate else ent / dir_
+    if_ratio = np.zeros(n) if degenerate else (if_ent - ratio * energy) / dir_
+    ses = [float(np.std(x, ddof=1)) / math.sqrt(n) for x in (if_ent, energy, if_ratio)]
+    return (ent, dir_, ratio, *ses, n, degenerate)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_entropy_ratio_of_a_callers_function_equals_the_formulas_bit_for_bit(dim):
+    p = make_potential("subbotin", dim, alpha=4.0)
+    s = sample_measure(p, 3_000, seed=43)
+    relu = SmoothFunction("relu", value=lambda x: np.maximum(x[..., 0], 0.0),
+                          gradient=lambda x: (x > 0) * np.eye(1, x.shape[-1])[0])
+    # the family's functions as a caller would pass them, without their closed forms
+    fns = [CONST2, relu] + [SmoothFunction(f.name, f.value, f.gradient)
+                            for f in builtin_test_family(dim)]
+    if dim == 2:
+        fns.append(LINEAR2)
+    for f in fns:
+        assert dataclasses.astuple(entropy_ratio(p, f, s)) == _entropy_ratio_reference(f, s), \
+            f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(-3.0, 3.0), shift=st.floats(-3.0, 3.0), width=st.floats(0.2, 5.0),
+       dim=st.sampled_from([1, 2, 8]))
+def test_closed_form_energy_matches_the_family_gradient(theta, shift, width, dim):
+    x = 2.0 * np.random.default_rng(dim).standard_normal((64, dim))
+    fns = [tilt_function("tilt", theta, "e1"), tanh_function("tanh", shift),
+           bump_function("bump", width)]
+    if dim > 1:
+        fns.append(tilt_function("tilt", theta, "diag"))
+    h = 1e-6
+    for f in fns:
+        g, e = np.empty((2, len(x)))
+        _fill(f, _project(x, f.along), g, e)
+        grad = f.gradient(x)
+        np.testing.assert_array_equal(g, np.square(f.value(x)))
+        np.testing.assert_allclose(e, np.sum(grad**2, axis=-1), rtol=1e-14, atol=1e-300)
+        # the gradient is the derivative of the value: central differences
+        for i in range(dim):
+            step = h * np.eye(1, dim, i)[0]
+            fd = (f.value(x + step) - f.value(x - step)) / (2 * h)
+            np.testing.assert_allclose(grad[:, i], fd, rtol=1e-6, atol=1e-8)
+
+
+def test_entropy_estimate_works_in_a_few_buffers():
+    # at n = 10^5 fresh (n,) temporaries page-fault on every call; before the
+    # estimate worked in buffers one family function peaked at 7 of them in
+    # d = 1 (19 in d = 8)
+    n = 100_000
+    buffer = 8 * n
+    p = make_potential("gaussian", 1, rho=1.0)
+    s = sample_measure(p, n, seed=1)
+    g, e, w = np.exp(s[:, 0]) ** 2, np.exp(s[:, 0]) ** 2 / 4, np.empty(n)
+    tracemalloc.start()
+    try:
+        _estimate(g, e, w)
+        own = tracemalloc.get_traced_memory()[1]
+        peaks = {}
+        for f in builtin_test_family(1):
+            tracemalloc.reset_peak()
+            entropy_ratio(p, f, s)
+            peaks[f.name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the estimate's own: the mask g > 0, n bytes
+    assert own <= buffer / 4
+    # the projection, g, e and w
+    assert max(peaks.values()) <= 4.5 * buffer, peaks
+
+
 def _bootstrap_stderrs(f, samples, gen, n_resamples=2000):
     """Bootstrap standard errors of Ent(f^2), the energy and their ratio, each
     resample gathered from the samples: the reference for the delta method."""
@@ -628,15 +722,20 @@ def test_audit_gaussian_bound_two_saturating():
 
 
 def test_audit_fails_on_a_ratio_that_is_not_finite():
-    """On samples of spread about 450, f^2 of the steepest tilt overflows
-    and its ratio is NaN: the audit fails and names it, and the worst
-    function is the largest finite ratio, which alone would pass."""
+    """On samples of spread about 450, f^2 of the steeper tilts overflows:
+    Ent(f^2) is NaN, and the energy is inf or NaN.  An infinite energy is
+    no zero energy, so none of the six is dropped as degenerate: the audit
+    fails and names each, and the worst function is the largest finite
+    ratio, which alone would pass."""
     p = make_potential("gaussian", 2, rho=5e-6)
     with np.errstate(all="ignore"):
         rep = lsi_audit(p, bakry_emery_bound(p), sample_measure(p, 2_000, seed=3), seed=3)
-    assert all(math.isnan(v) for v in rep.details["ratios"]["tilt(theta=1, u=e1)"])
+    steep = [f"tilt(theta={theta:g}, u={u})" for theta in (0.6, 0.8, 1.0) for u in ("e1", "diag")]
+    for name in steep:
+        assert all(math.isnan(v) for v in rep.details["ratios"][name]), name
     assert rep.details["flagged"] == ["ratio or standard error is not finite: "
-                                      "tilt(theta=1, u=e1)"]
+                                      + ", ".join(steep)]
+    assert rep.details["worst_function"] not in steep
     assert not rep.passed
     assert math.isfinite(float(rep.lhs))
     assert float(rep.lhs) == rep.details["ratios"][rep.details["worst_function"]][0]
